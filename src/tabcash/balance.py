@@ -10,6 +10,11 @@ Methods: random duplication over-sampling, random under-sampling,
 interpolation-based synthetic over-sampling, and the three kNN cleaning
 rules (mutual-pair removal, edited neighbors, condensed neighbors). The
 cleaning rules use the threshold only as a gate, not as a target ratio.
+
+The cleaning rules find neighbours with ``neighbors.py``: Euclidean
+distances whose squared differences are summed column by column in column
+order, with distance ties going to the lower row index. SMOTE ranks its
+minority neighbours the same way over Gram-trick distances.
 """
 
 from __future__ import annotations
@@ -22,13 +27,11 @@ import numpy as np
 
 from .base import Component, as_float_matrix, check_no_missing
 from .errors import BalancingError, ConfigurationError
+from .neighbors import distance_blocks, k_smallest
 
 logger = logging.getLogger(__name__)
 
 BALANCE_METHODS = ("none", "random_over", "random_under", "smote", "tomek", "enn", "cnn")
-
-# Ratio above which a classification dataset is reported as imbalanced.
-DEFAULT_DETECTION_RATIO = 3.0
 
 
 @dataclass(frozen=True)
@@ -57,21 +60,10 @@ def profile(y) -> ImbalanceProfile:
     return ImbalanceProfile(major, major_count, minor_count)
 
 
-def is_imbalanced(prof: ImbalanceProfile, threshold: float = DEFAULT_DETECTION_RATIO) -> bool:
-    return prof.ratio > threshold
-
-
 def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
-
-
-def _nearest_among(X: np.ndarray, i: int) -> int:
-    """Index of the nearest other row; distance ties prefer lower index."""
-    d = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
-    d[i] = np.inf
-    return int(np.argmin(d))
 
 
 class Balancer(Component):
@@ -146,7 +138,7 @@ class Balancer(Component):
         dists = _pairwise_distances(Xm, Xm)
         np.fill_diagonal(dists, np.inf)
         k = min(self.k, len(Xm) - 1)
-        neighbor_ids = np.argsort(dists, axis=1, kind="mergesort")[:, :k]
+        neighbor_ids = k_smallest(dists, k)
         synth = np.empty((extra, X.shape[1]), dtype=float)
         labels = np.empty(extra, dtype=int)
         for s in range(extra):
@@ -159,54 +151,54 @@ class Balancer(Component):
 
     def _tomek(self, X, y, prof, rng):
         majority = y == prof.majority_class
-        nearest = np.array([_nearest_among(X, i) for i in range(len(X))])
-        drop = [
-            i
-            for i in np.flatnonzero(majority)
-            if not majority[nearest[i]] and nearest[nearest[i]] == i
-        ]
-        keep = np.setdiff1d(np.arange(len(X)), np.asarray(drop, dtype=int))
-        return X[keep], y[keep]
+        nearest = np.empty(len(X), dtype=int)
+        for start, D in distance_blocks(X, X):
+            rows = np.arange(start, start + len(D))
+            D[np.arange(len(D)), rows] = np.inf
+            nearest[rows] = np.argmin(D, axis=1)
+        drop = majority & ~majority[nearest] & (nearest[nearest] == np.arange(len(X)))
+        return X[~drop], y[~drop]
 
     def _enn(self, X, y, prof, rng):
-        majority = y == prof.majority_class
+        majority_idx = np.flatnonzero(y == prof.majority_class)
+        other_labels = np.unique(y[y != prof.majority_class])
         k = min(self.k, len(X) - 1)
-        drop = []
-        for i in np.flatnonzero(majority):
-            d = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
-            d[i] = np.inf
-            neighbors = np.argsort(d, kind="mergesort")[:k]
-            votes = np.bincount(y[neighbors])
-            own = votes[y[i]] if y[i] < len(votes) else 0
-            others = np.delete(votes, y[i]) if y[i] < len(votes) else votes
-            if others.size and others.max() > own:
-                drop.append(i)
-        keep = np.setdiff1d(np.arange(len(X)), np.asarray(drop, dtype=int))
-        return X[keep], y[keep]
+        drop = np.zeros(len(X), dtype=bool)
+        for start, D in distance_blocks(X[majority_idx], X):
+            rows = majority_idx[start : start + len(D)]
+            D[np.arange(len(D)), rows] = np.inf
+            labels = y[k_smallest(D, k)]
+            own = (labels == prof.majority_class).sum(axis=1)
+            others = (labels[:, :, None] == other_labels).sum(axis=1).max(axis=1)
+            drop[rows] = others > own
+        return X[~drop], y[~drop]
 
     def _cnn(self, X, y, prof, rng):
         majority_idx = np.flatnonzero(y == prof.majority_class)
-        minority_idx = np.flatnonzero(y != prof.majority_class)
-        first = int(rng.choice(majority_idx))
-        condensed = set(minority_idx.tolist())
-        condensed.add(first)
+        in_bank = y != prof.majority_class
+        in_bank[int(rng.choice(majority_idx))] = True
         order = rng.permutation(len(X))
+        # Every row's nearest bank row, ties to the lower index.
+        bank_idx = np.flatnonzero(in_bank)
+        nearest_d = np.empty(len(X))
+        nearest = np.empty(len(X), dtype=int)
+        for start, D in distance_blocks(X, X[bank_idx]):
+            pos = np.argmin(D, axis=1)
+            nearest_d[start : start + len(D)] = D[np.arange(len(D)), pos]
+            nearest[start : start + len(D)] = bank_idx[pos]
         changed = True
         while changed:
             changed = False
-            store = np.fromiter(sorted(condensed), dtype=int)
-            bank, bank_labels = X[store], y[store]
             for i in order:
-                if i in condensed or y[i] != prof.majority_class:
+                if in_bank[i] or y[nearest[i]] == y[i]:
                     continue
-                d = np.sqrt(((bank - X[i]) ** 2).sum(axis=1))
-                if bank_labels[int(np.argmin(d))] != y[i]:
-                    condensed.add(int(i))
-                    store = np.fromiter(sorted(condensed), dtype=int)
-                    bank, bank_labels = X[store], y[store]
-                    changed = True
-        keep = np.fromiter(sorted(condensed), dtype=int)
-        return X[keep], y[keep]
+                in_bank[i] = changed = True
+                _, D = next(distance_blocks(X[i : i + 1], X))
+                d = D[0]
+                closer = (d < nearest_d) | ((d == nearest_d) & (i < nearest))
+                nearest_d[closer] = d[closer]
+                nearest[closer] = i
+        return X[in_bank], y[in_bank]
 
 
 def make_balancer(method: str, **params) -> Balancer:

@@ -301,7 +301,9 @@ def evaluate(
 
     Fit failures become status ``failed``; metric validity violations
     (nonpositive rates, one-class folds) become ``invalid``. Neither
-    interrupts the search loop.
+    interrupts the search loop. Any other ``Exception`` is recorded as
+    ``failed`` with reason ``internal: <Type>: <msg>`` and its traceback
+    logged; ``MemoryError`` and ``KeyboardInterrupt`` propagate.
     """
     started = time.monotonic()
     record = TrialRecord(k=k, spec=spec, status=FAILED)
@@ -338,6 +340,13 @@ def evaluate(
     except (TabcashError, np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
         record.status = FAILED
         record.reason = f"{type(exc).__name__}: {exc}"
+    except MemoryError:
+        raise
+    except Exception as exc:
+        # A bug in one trial must not end the search and lose its history.
+        logger.warning("trial %d raised an unexpected error", k, exc_info=True)
+        record.status = FAILED
+        record.reason = f"internal: {type(exc).__name__}: {exc}"
     if not np.isfinite(record.eval_loss if record.eval_loss is not None else 0.0):
         record.status = INVALID
         record.reason = record.reason or "non-finite evaluation loss"

@@ -14,6 +14,7 @@ from ..base import (
 )
 from ..errors import ConfigurationError
 from ..metrics import PredictionBundle
+from ..neighbors import block_rows, k_smallest
 
 
 class Model(Component):
@@ -125,10 +126,14 @@ class DummyModel(Model):
 
 
 class KNNModel(Model):
-    """k-nearest-neighbor prediction with lower-row-index tie breaking."""
+    """k-nearest-neighbor prediction with lower-row-index tie breaking.
+
+    Squared distances use the Gram expansion over query blocks of about
+    1 MB; ``neighbors.k_smallest`` ranks them by (distance, lower training
+    row index).
+    """
 
     method = "knn"
-    _CHUNK = 256
 
     def __init__(self, task: str = "regression", k: int = 5):
         if task not in ("regression", "classification"):
@@ -158,16 +163,15 @@ class KNNModel(Model):
         k = min(self.k, len(self.X_))
         out = np.empty((len(X), k), dtype=int)
         sq_train = (self.X_ * self.X_).sum(axis=1)
-        for start in range(0, len(X), self._CHUNK):
-            chunk = X[start : start + self._CHUNK]
+        step = block_rows(len(self.X_))
+        for start in range(0, len(X), step):
+            chunk = X[start : start + step]
             d2 = (
                 (chunk * chunk).sum(axis=1)[:, None]
                 + sq_train[None, :]
                 - 2.0 * chunk @ self.X_.T
             )
-            out[start : start + self._CHUNK] = np.argsort(d2, axis=1, kind="mergesort")[
-                :, :k
-            ]
+            out[start : start + step] = k_smallest(d2, k)
         return out
 
     def predict(self, X) -> np.ndarray:

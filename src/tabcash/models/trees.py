@@ -72,6 +72,9 @@ def _best_split_feature(x: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: 
     if not np.isfinite(cost[pos]):
         return None
     threshold = 0.5 * (xs[pos] + xs[pos + 1])
+    if not threshold < xs[pos + 1]:
+        # Adjacent floats: the midpoint rounds up and would send every row left.
+        threshold = xs[pos]
     return float(cost[pos]), float(threshold)
 
 

@@ -18,6 +18,7 @@ from .base import (
     check_no_missing,
 )
 from .errors import ConfigurationError, ImputationError
+from .neighbors import distance_blocks, k_smallest
 from .tabular import CATEGORICAL, NUMERIC
 
 ENCODE_METHODS = ("ordinal", "onehot")
@@ -148,8 +149,10 @@ class Imputer(Component):
     ``knn`` fills a cell with the mean of its column over the k nearest
     complete training rows, measured by Euclidean distance on the query
     row's non-missing coordinates; distance ties prefer the lower row
-    index. Rows with no usable coordinates, and fits with no complete
-    rows, fall back to the column mean.
+    index. Rows are grouped by missing pattern and searched with
+    ``neighbors.py``, which sums squared differences column by column in
+    column order. Rows with no usable coordinates, and fits with no
+    complete rows, fall back to the column mean.
     """
 
     def __init__(self, method: str = "mean", value: float = 0.0, k: int = 5):
@@ -194,18 +197,21 @@ class Imputer(Component):
     def _fill_knn(self, X: np.ndarray) -> np.ndarray:
         out = X.copy()
         bank = self.complete_rows_
-        for i in np.flatnonzero(np.isnan(X).any(axis=1)):
-            row = X[i]
-            present = ~np.isnan(row)
-            holes = np.flatnonzero(~present)
+        missing = np.isnan(X)
+        incomplete = np.flatnonzero(missing.any(axis=1))
+        patterns, group = np.unique(missing[incomplete], axis=0, return_inverse=True)
+        for g, pattern in enumerate(patterns):
+            rows = incomplete[group.ravel() == g]
+            holes = np.flatnonzero(pattern)
+            present = ~pattern
             if bank is None or len(bank) == 0 or not present.any():
-                out[i, holes] = self.statistics_[holes]
+                out[np.ix_(rows, holes)] = self.statistics_[holes]
                 continue
-            diffs = bank[:, present] - row[present]
-            dists = np.sqrt((diffs * diffs).sum(axis=1))
             k = min(self.k, len(bank))
-            nearest = np.argsort(dists, kind="mergesort")[:k]
-            out[i, holes] = bank[nearest][:, holes].mean(axis=0)
+            for start, D in distance_blocks(X[np.ix_(rows, present)], bank[:, present]):
+                nearest = k_smallest(D, k)
+                block = rows[start : start + len(D)]
+                out[np.ix_(block, holes)] = bank[:, holes][nearest].mean(axis=1)
         return out
 
     def transform(self, X) -> np.ndarray:

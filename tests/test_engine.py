@@ -179,6 +179,32 @@ class TestOptimize:
         summaries = {t.spec.summary() for t in result.history}
         assert len(summaries) == 1
 
+    def test_unexpected_exception_recorded_as_internal_failure(
+        self, regression_dataset, monkeypatch
+    ):
+        from tabcash.models import KNNModel
+
+        def broken_fit(self, X, y, n_classes=None):
+            raise RuntimeError("broken fit")
+
+        monkeypatch.setattr(KNNModel, "fit", broken_fit)
+        space = default_space(REGRESSION, y=regression_dataset.y, n_features=3)
+        space = space.replace_menu("model", ("dummy", "knn"))
+        result = optimize(
+            regression_dataset,
+            space,
+            Budget(600.0, 8),
+            sampler="random",
+            metric=get_metric("mse"),
+            seed=2,
+        )
+        assert len(result.history) == 8
+        knn = [t for t in result.history if t.spec.stages["model"].method == "knn"]
+        assert knn
+        for t in knn:
+            assert t.status == "failed"
+            assert t.reason == "internal: RuntimeError: broken fit"
+
     def test_time_budget_near_zero_runs_at_most_one_trial(self, regression_dataset):
         space = default_space(REGRESSION, y=regression_dataset.y, n_features=3)
         with pytest.raises(OptimizationError) as err:

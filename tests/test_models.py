@@ -190,6 +190,14 @@ class TestCart:
         assert min(leaf_sizes(tree.tree_, np.arange(10))) >= 3
 
 
+    def test_adjacent_float_split(self):
+        a = np.nextafter(1.0, 2)
+        b = np.nextafter(a, 2)
+        X = np.array([[a], [b], [a], [b]])
+        tree = Cart("regression", max_depth=3).fit(X, np.array([0.0, 3.0, 0.0, 3.0]))
+        assert tree.predict(np.array([[a], [b]])).tolist() == [0.0, 3.0]
+
+
 class TestRandomForest:
     def test_single_tree_no_bootstrap_equals_cart(self):
         X, y, _ = linear_data(80, seed=7, noise=0.5)
