@@ -5,19 +5,62 @@ model) derives from :class:`Component` and follows the usual estimator
 conventions: constructor arguments are stored verbatim under the same
 attribute name, fitted state lives in trailing-underscore attributes, and
 ``get_params`` / ``set_params`` round-trip the constructor arguments.
+``to_state`` / ``from_state`` save and restore a fitted component as JSON.
 """
 
 from __future__ import annotations
 
+import binascii
 import inspect
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigurationError, ContractError, FormatError
+
+_CLASSES: dict[str, type] = {}
+
+
+def _encode(value):
+    """JSON form of one fitted attribute.
+
+    Arrays become ``{dtype, shape, data}`` with ``data`` the base64 of the
+    little-endian bytes; a list of components becomes a list of states.
+    """
+    if isinstance(value, np.ndarray):
+        little = value.astype(value.dtype.newbyteorder("<"), copy=False)
+        return {
+            "dtype": little.dtype.str,
+            "shape": list(value.shape),
+            "data": binascii.b2a_base64(little.tobytes(), newline=False).decode("ascii"),
+        }
+    if type(value) is list and value and isinstance(value[0], Component):
+        return [v.to_state() for v in value]
+    return value
+
+
+def _decode(value):
+    if type(value) is dict and "data" in value:
+        code = value["dtype"]
+        flat = np.frombuffer(binascii.a2b_base64(value["data"]), dtype=code)
+        # One copy: writable, and in the host's byte order.
+        return flat.reshape(value["shape"]).astype("=" + code[1:])
+    if type(value) is list and value and type(value[0]) is dict and "class" in value[0]:
+        return [Component.from_state(v) for v in value]
+    return value
 
 
 class Component:
-    """Minimal estimator base with sklearn-compatible parameter handling."""
+    """Minimal estimator base with sklearn-compatible parameter handling.
+
+    A subclass lists the fitted attributes it persists in ``_fitted``; the
+    first one is set by ``fit`` and marks a fitted object.
+    """
+
+    _fitted: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _CLASSES[cls.__name__] = cls
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -38,6 +81,36 @@ class Component:
                 raise ContractError(f"unknown parameter {name!r} for {type(self).__name__}")
             setattr(self, name, value)
         return self
+
+    def to_state(self) -> dict:
+        """Class name, constructor parameters and fitted attributes, as JSON."""
+        check_fitted(self, self._fitted[0])
+        return {
+            "class": type(self).__name__,
+            "params": self.get_params(),
+            "fitted": {name: _encode(getattr(self, name)) for name in self._fitted},
+        }
+
+    @classmethod
+    def from_state(cls, state: dict):
+        """Rebuild a component written by ``to_state``.
+
+        The state must name a subclass of ``cls``; anything malformed
+        raises ``FormatError``.
+        """
+        try:
+            found = _CLASSES.get(state["class"])
+            if found is None or not issubclass(found, cls):
+                raise FormatError(f"state holds {state['class']!r}, not a {cls.__name__}")
+            obj = found(**state["params"])
+            fitted = state["fitted"]
+            for name in found._fitted:
+                setattr(obj, name, _decode(fitted[name]))
+        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+            raise FormatError(
+                f"malformed {cls.__name__} state: {type(exc).__name__}: {exc}"
+            ) from None
+        return obj
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

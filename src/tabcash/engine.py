@@ -35,7 +35,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import Metric, PredictionBundle
-from .models import make_model, model_from_state
+from .models import Model, make_model
 from .preprocess import (
     Encoder,
     Imputer,
@@ -51,7 +51,8 @@ from .tabular import ColumnSchema, Dataset, FoldPlan, Split, make_folds, split_d
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # history.jsonl and manifest.json
+FORMAT_VERSION = 2  # saved pipelines and ensembles
 
 HISTORY_FILE = "history.jsonl"
 TIMINGS_FILE = "timings.jsonl"
@@ -128,6 +129,26 @@ class TrialRecord:
         return json.dumps(payload, sort_keys=True)
 
 
+def check_format_version(d: dict, kind: str) -> None:
+    """Reject a saved model written in another file format."""
+    version = d.get("schema_version")
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            f"unsupported {kind} format version {version!r} (expected {FORMAT_VERSION}); "
+            "refit the model to write it in the current format"
+        )
+
+
+def schema_to_json(schema) -> list[dict]:
+    return [{"name": c.name, "kind": c.kind, "categories": list(c.categories)} for c in schema]
+
+
+def schema_from_json(items) -> tuple[ColumnSchema, ...]:
+    return tuple(
+        ColumnSchema(c["name"], c["kind"], categories=tuple(c["categories"])) for c in items
+    )
+
+
 class TrainedPipeline:
     """Fitted stage components plus model; balancing never runs at predict."""
 
@@ -193,16 +214,13 @@ class TrainedPipeline:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": FORMAT_VERSION,
             "kind": "pipeline",
             "task": self.task,
             "n_classes": self.n_classes,
             "labels": list(self.labels),
             "trial": self.trial,
-            "feature_schema": [
-                {"name": c.name, "kind": c.kind, "categories": list(c.categories)}
-                for c in self.feature_schema
-            ],
+            "feature_schema": schema_to_json(self.feature_schema),
             "spec": self.spec.to_dict(),
             "encoder": self.encoder.to_state(),
             "imputer": self.imputer.to_state(),
@@ -213,25 +231,18 @@ class TrainedPipeline:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedPipeline":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise FormatError(
-                f"unsupported pipeline schema version {d.get('schema_version')!r}"
-            )
-        schema = tuple(
-            ColumnSchema(c["name"], c["kind"], categories=tuple(c["categories"]))
-            for c in d["feature_schema"]
-        )
+        check_format_version(d, "pipeline")
         return cls(
             spec=PipelineSpec.from_dict(d["spec"]),
             encoder=Encoder.from_state(d["encoder"]),
             imputer=Imputer.from_state(d["imputer"]),
             scaler=Scaler.from_state(d["scaler"]),
             selector=Selector.from_state(d["selector"]),
-            model=model_from_state(d["model"]),
+            model=Model.from_state(d["model"]),
             task=d["task"],
             n_classes=d["n_classes"],
             labels=tuple(d["labels"]),
-            feature_schema=schema,
+            feature_schema=schema_from_json(d["feature_schema"]),
             trial=d["trial"],
         )
 

@@ -22,11 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    SCHEMA_VERSION,
+    FORMAT_VERSION,
     Budget,
     Protocol,
     TrainedPipeline,
+    check_format_version,
     optimize,
+    schema_from_json,
+    schema_to_json,
 )
 from .errors import (
     ConfigurationError,
@@ -36,7 +39,7 @@ from .errors import (
 )
 from .metrics import Metric, PredictionBundle
 from .space import SearchSpace
-from .tabular import REGRESSION, ColumnSchema, Dataset
+from .tabular import REGRESSION, Dataset
 
 logger = logging.getLogger(__name__)
 
@@ -64,16 +67,6 @@ class FeatureMask:
 
     def as_bool(self) -> np.ndarray:
         return np.asarray(self.mask, dtype=bool)
-
-    def selection_matrix(self) -> np.ndarray:
-        """0/1 matrix of shape (n_features, n_selected) mapping X to X-masked."""
-        q = np.asarray(self.mask, dtype=int)
-        rho = np.zeros((len(q), int(q.sum())), dtype=int)
-        positions = np.cumsum(q) - 1
-        for w, keep in enumerate(q):
-            if keep:
-                rho[w, positions[w]] = 1
-        return rho
 
 
 @dataclass
@@ -170,31 +163,18 @@ class EnsembleModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_bundle(X).values
 
-    def align(self, dataset: Dataset) -> tuple[np.ndarray, list[str]]:
-        """Project a dataset onto the original fit-time columns by name."""
-        available = {c.name: j for j, c in enumerate(dataset.schema)}
-        cols = []
-        for col in self.feature_schema:
-            if col.name not in available:
-                raise ConfigurationError(f"input is missing feature column {col.name!r}")
-            cols.append(available[col.name])
-        known = {s.name for s in self.feature_schema}
-        ignored = [c.name for c in dataset.schema if c.name not in known]
-        return dataset.X[:, cols], ignored
+    align = TrainedPipeline.align
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": FORMAT_VERSION,
             "kind": "ensemble",
             "strategy": self.strategy,
             "voting": self.voting,
             "task": self.task,
             "n_classes": self.n_classes,
             "labels": list(self.labels),
-            "feature_schema": [
-                {"name": c.name, "kind": c.kind, "categories": list(c.categories)}
-                for c in self.feature_schema
-            ],
+            "feature_schema": schema_to_json(self.feature_schema),
             "members": [
                 {
                     "tag": m.tag,
@@ -207,10 +187,7 @@ class EnsembleModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleModel":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise FormatError(
-                f"unsupported ensemble schema version {d.get('schema_version')!r}"
-            )
+        check_format_version(d, "ensemble")
         members = [
             EnsembleMember(
                 pipeline=TrainedPipeline.from_dict(m["pipeline"]),
@@ -219,15 +196,11 @@ class EnsembleModel:
             )
             for m in d["members"]
         ]
-        schema = tuple(
-            ColumnSchema(c["name"], c["kind"], categories=tuple(c["categories"]))
-            for c in d["feature_schema"]
-        )
         return cls(
             strategy=d["strategy"],
             voting=d["voting"],
             members=members,
-            feature_schema=schema,
+            feature_schema=schema_from_json(d["feature_schema"]),
         )
 
 

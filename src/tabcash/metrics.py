@@ -77,6 +77,14 @@ class Metric:
         return value if self.direction == MINIMIZE else -value
 
 
+def poisson_deviance_terms(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Per-row ``mu - y + y*log(y/mu)``, with the log term taken as 0 where y = 0."""
+    terms = mu - y
+    positive = y > 0
+    terms[positive] += y[positive] * np.log(y[positive] / mu[positive])
+    return terms
+
+
 def poisson_deviance(y, yhat) -> float:
     """Mean Poisson deviance 2/n * sum(yhat - y + y*log(y/yhat)).
 
@@ -94,10 +102,7 @@ def poisson_deviance(y, yhat) -> float:
         raise InvalidPredictionError(
             "Poisson deviance requires strictly positive predictions"
         )
-    terms = yhat - y
-    positive = y > 0
-    terms[positive] += y[positive] * np.log(y[positive] / yhat[positive])
-    return float(2.0 * terms.mean())
+    return float(2.0 * poisson_deviance_terms(y, yhat).mean())
 
 
 def r2_score(y, yhat) -> float:
@@ -216,10 +221,6 @@ def get_metric(name: str) -> Metric:
         raise RegistrationError(
             f"unknown metric {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
-
-
-def registered_metric_ids() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
 
 
 register_metric(

@@ -2,7 +2,7 @@
 
 Classifiers additionally expose ``predict_proba`` returning a row-stochastic
 (n_rows, n_classes) table. ``make_model`` is the single construction point
-used by the search engine; ``model_from_state`` restores a serialized model.
+used by the search engine; ``Model.from_state`` restores a serialized model.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ def make_model(method: str, task: str, **params) -> Model:
     return cls(task=task, **params)
 
 
-def model_from_state(state: dict) -> Model:
-    method = state.get("method")
-    if method not in _CLASSES:
-        raise ConfigurationError(f"unknown serialized model {method!r}")
-    return _CLASSES[method].from_state(state)
-
-
 __all__ = [
     "Model",
     "DummyModel",
@@ -64,5 +57,4 @@ __all__ = [
     "CLASSIFICATION_MODELS",
     "MODEL_METHODS",
     "make_model",
-    "model_from_state",
 ]

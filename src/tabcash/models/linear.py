@@ -6,6 +6,7 @@ import numpy as np
 
 from ..base import as_float_vector, check_fitted, check_matching_width
 from ..errors import ConfigurationError, FitError, TaskError
+from ..metrics import poisson_deviance_terms
 from .simple import Model, _resolve_n_classes
 
 _ETA_CLIP = 30.0
@@ -19,6 +20,7 @@ class RidgeRegression(Model):
     """Closed-form L2-penalized least squares, intercept unpenalized."""
 
     method = "ridge"
+    _fitted = ("coef_", "n_features_")
 
     def __init__(self, alpha: float = 1.0):
         if alpha < 0:
@@ -46,22 +48,6 @@ class RidgeRegression(Model):
         X = self._check_X(X)
         check_matching_width(X, self.n_features_)
         return _with_intercept(X) @ self.coef_
-
-    def to_state(self) -> dict:
-        check_fitted(self, "coef_")
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "n_features": self.n_features_,
-            "coef": self.coef_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RidgeRegression":
-        m = cls(alpha=state["alpha"])
-        m.n_features_ = state["n_features"]
-        m.coef_ = np.asarray(state["coef"], dtype=float)
-        return m
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -109,6 +95,7 @@ class LogisticModel(Model):
 
     method = "logistic"
     is_classifier = True
+    _fitted = ("coef_", "n_classes_", "n_features_")
 
     def __init__(self, alpha: float = 1e-4, max_iter: int = 500, tol: float = 1e-6):
         if alpha < 0:
@@ -151,32 +138,9 @@ class LogisticModel(Model):
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
 
-    def to_state(self) -> dict:
-        check_fitted(self, "coef_")
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "n_classes": self.n_classes_,
-            "n_features": self.n_features_,
-            "coef": self.coef_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LogisticModel":
-        m = cls(alpha=state["alpha"], max_iter=state["max_iter"], tol=state["tol"])
-        m.n_classes_ = state["n_classes"]
-        m.n_features_ = state["n_features"]
-        m.coef_ = np.asarray(state["coef"], dtype=float)
-        return m
-
 
 def _poisson_deviance_total(y: np.ndarray, mu: np.ndarray) -> float:
-    terms = mu - y
-    pos = y > 0
-    terms[pos] += y[pos] * np.log(y[pos] / mu[pos])
-    return float(2.0 * terms.sum())
+    return float(2.0 * poisson_deviance_terms(y, mu).sum())
 
 
 class PoissonGLM(Model):
@@ -191,6 +155,7 @@ class PoissonGLM(Model):
     """
 
     method = "poisson_glm"
+    _fitted = ("coef_", "n_features_")
 
     def __init__(self, max_iter: int = 100, tol: float = 1e-8):
         if max_iter < 1:
@@ -249,20 +214,3 @@ class PoissonGLM(Model):
         off = np.zeros(len(X)) if offset is None else as_float_vector(offset, "offset")
         eta = np.clip(_with_intercept(X) @ self.coef_ + off, -_ETA_CLIP, _ETA_CLIP)
         return np.exp(eta)
-
-    def to_state(self) -> dict:
-        check_fitted(self, "coef_")
-        return {
-            "method": self.method,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "n_features": self.n_features_,
-            "coef": self.coef_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "PoissonGLM":
-        m = cls(max_iter=state["max_iter"], tol=state["tol"])
-        m.n_features_ = state["n_features"]
-        m.coef_ = np.asarray(state["coef"], dtype=float)
-        return m

@@ -66,6 +66,7 @@ class DummyModel(Model):
     """Predicts the training mean (regression) or class frequencies."""
 
     method = "dummy"
+    _fitted = ("mean_", "frequencies_", "n_features_")
 
     def __init__(self, task: str = "regression"):
         if task not in ("regression", "classification"):
@@ -105,25 +106,6 @@ class DummyModel(Model):
         check_matching_width(X, self.n_features_)
         return np.tile(self.frequencies_, (len(X), 1))
 
-    def to_state(self) -> dict:
-        check_fitted(self, "mean_")
-        return {
-            "method": self.method,
-            "task": self.task,
-            "n_features": self.n_features_,
-            "mean": self.mean_,
-            "frequencies": None if self.frequencies_ is None else self.frequencies_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "DummyModel":
-        m = cls(task=state["task"])
-        m.n_features_ = state["n_features"]
-        m.mean_ = state["mean"]
-        if state["frequencies"] is not None:
-            m.frequencies_ = np.asarray(state["frequencies"], dtype=float)
-        return m
-
 
 class KNNModel(Model):
     """k-nearest-neighbor prediction with lower-row-index tie breaking.
@@ -134,6 +116,7 @@ class KNNModel(Model):
     """
 
     method = "knn"
+    _fitted = ("X_", "y_", "n_classes_")
 
     def __init__(self, task: str = "regression", k: int = 5):
         if task not in ("regression", "classification"):
@@ -192,25 +175,3 @@ class KNNModel(Model):
             labels = self.y_[neighbors[:, col]]
             votes[np.arange(len(X)), labels] += 1.0
         return votes / neighbors.shape[1]
-
-    def to_state(self) -> dict:
-        check_fitted(self, "X_")
-        return {
-            "method": self.method,
-            "task": self.task,
-            "k": self.k,
-            "n_classes": self.n_classes_,
-            "X": self.X_.tolist(),
-            "y": self.y_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KNNModel":
-        m = cls(task=state["task"], k=state["k"])
-        m.n_classes_ = state["n_classes"]
-        m.X_ = np.asarray(state["X"], dtype=float)
-        if state["task"] == "classification":
-            m.y_ = np.asarray(state["y"], dtype=int)
-        else:
-            m.y_ = np.asarray(state["y"], dtype=float)
-        return m

@@ -145,6 +145,7 @@ class Cart(Model):
     """Greedy binary decision tree; probabilities are leaf class frequencies."""
 
     method = "cart"
+    _fitted = ("tree_", "n_classes_", "n_features_")
 
     def __init__(
         self,
@@ -203,32 +204,6 @@ class Cart(Model):
         check_matching_width(X, self.n_features_)
         return _tree_predict(self.tree_, X, self.n_classes_)
 
-    def to_state(self) -> dict:
-        check_fitted(self, "tree_")
-        return {
-            "method": self.method,
-            "task": self.task,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "n_classes": self.n_classes_,
-            "n_features": self.n_features_,
-            "tree": self.tree_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Cart":
-        m = cls(
-            task=state["task"],
-            max_depth=state["max_depth"],
-            min_samples_split=state["min_samples_split"],
-            min_samples_leaf=state["min_samples_leaf"],
-        )
-        m.n_classes_ = state["n_classes"]
-        m.n_features_ = state["n_features"]
-        m.tree_ = state["tree"]
-        return m
-
 
 class RandomForest(Model):
     """Bootstrap ensemble of CARTs with per-split feature subsampling.
@@ -239,6 +214,7 @@ class RandomForest(Model):
     """
 
     method = "random_forest"
+    _fitted = ("trees_", "n_classes_", "n_features_")
 
     def __init__(
         self,
@@ -313,40 +289,6 @@ class RandomForest(Model):
         check_matching_width(X, self.n_features_)
         return np.mean([t.predict_proba(X) for t in self.trees_], axis=0)
 
-    def to_state(self) -> dict:
-        check_fitted(self, "trees_")
-        return {
-            "method": self.method,
-            "task": self.task,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "bootstrap": self.bootstrap,
-            "feature_subsample": self.feature_subsample,
-            "seed": self.seed,
-            "n_classes": self.n_classes_,
-            "n_features": self.n_features_,
-            "trees": [t.to_state() for t in self.trees_],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RandomForest":
-        m = cls(
-            task=state["task"],
-            n_trees=state["n_trees"],
-            max_depth=state["max_depth"],
-            min_samples_split=state["min_samples_split"],
-            min_samples_leaf=state["min_samples_leaf"],
-            bootstrap=state["bootstrap"],
-            feature_subsample=state["feature_subsample"],
-            seed=state["seed"],
-        )
-        m.n_classes_ = state["n_classes"]
-        m.n_features_ = state["n_features"]
-        m.trees_ = [Cart.from_state(s) for s in state["trees"]]
-        return m
-
 
 class GradientBoosted(Model):
     """Stagewise regression trees on residuals, initialized at the mean.
@@ -357,6 +299,7 @@ class GradientBoosted(Model):
     """
 
     method = "gbt"
+    _fitted = ("trees_", "init_", "n_features_")
 
     def __init__(
         self,
@@ -405,31 +348,3 @@ class GradientBoosted(Model):
         for tree in self.trees_:
             out += self.learning_rate * tree.predict(X)
         return out
-
-    def to_state(self) -> dict:
-        check_fitted(self, "trees_")
-        return {
-            "method": self.method,
-            "n_stages": self.n_stages,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "init": self.init_,
-            "n_features": self.n_features_,
-            "trees": [t.to_state() for t in self.trees_],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "GradientBoosted":
-        m = cls(
-            n_stages=state["n_stages"],
-            learning_rate=state["learning_rate"],
-            max_depth=state["max_depth"],
-            min_samples_split=state["min_samples_split"],
-            min_samples_leaf=state["min_samples_leaf"],
-        )
-        m.init_ = state["init"]
-        m.n_features_ = state["n_features"]
-        m.trees_ = [Cart.from_state(s) for s in state["trees"]]
-        return m

@@ -39,6 +39,8 @@ class Encoder(Component):
     imputer.
     """
 
+    _fitted = ("columns_", "out_names_")
+
     def __init__(self, method: str = "ordinal"):
         if method not in ENCODE_METHODS:
             raise ConfigurationError(f"unknown encoder {method!r}")
@@ -104,39 +106,6 @@ class Encoder(Component):
     def fit_transform(self, X: np.ndarray, schema) -> np.ndarray:
         return self.fit(X, schema).transform(X)
 
-    def to_state(self) -> dict:
-        check_fitted(self, "columns_")
-        return {
-            "method": self.method,
-            "columns": [
-                {
-                    "kind": c["kind"],
-                    "name": c["name"],
-                    "categories": list(c["mapping"]) if c["kind"] == CATEGORICAL else [],
-                }
-                for c in self.columns_
-            ],
-            "out_names": self.out_names_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Encoder":
-        enc = cls(method=state["method"])
-        enc.columns_ = []
-        for c in state["columns"]:
-            if c["kind"] == NUMERIC:
-                enc.columns_.append({"kind": NUMERIC, "name": c["name"]})
-            else:
-                enc.columns_.append(
-                    {
-                        "kind": CATEGORICAL,
-                        "name": c["name"],
-                        "mapping": {cat: i for i, cat in enumerate(c["categories"])},
-                    }
-                )
-        enc.out_names_ = list(state["out_names"])
-        return enc
-
 
 def _column_mode(values: np.ndarray) -> float:
     uniq, counts = np.unique(values, return_counts=True)
@@ -154,6 +123,8 @@ class Imputer(Component):
     column order. Rows with no usable coordinates, and fits with no
     complete rows, fall back to the column mean.
     """
+
+    _fitted = ("statistics_", "complete_rows_")
 
     def __init__(self, method: str = "mean", value: float = 0.0, k: int = 5):
         if method not in IMPUTE_METHODS:
@@ -228,28 +199,6 @@ class Imputer(Component):
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def to_state(self) -> dict:
-        check_fitted(self, "statistics_")
-        return {
-            "method": self.method,
-            "value": self.value,
-            "k": self.k,
-            "statistics": self.statistics_.tolist(),
-            "complete_rows": None
-            if self.complete_rows_ is None
-            else self.complete_rows_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Imputer":
-        imp = cls(method=state["method"], value=state["value"], k=state["k"])
-        imp.statistics_ = np.asarray(state["statistics"], dtype=float)
-        if state["complete_rows"] is not None:
-            imp.complete_rows_ = np.asarray(state["complete_rows"], dtype=float).reshape(
-                -1, len(imp.statistics_)
-            )
-        return imp
-
 
 class Scaler(Component):
     """Per-column affine rescaling with degenerate-spread guards.
@@ -259,6 +208,8 @@ class Scaler(Component):
     robust: (x - median) / IQR with linearly interpolated quartiles,
     degenerate IQR replaced by 1.
     """
+
+    _fitted = ("center_", "spread_")
 
     def __init__(self, method: str = "standardize"):
         if method not in SCALE_METHODS:
@@ -294,21 +245,6 @@ class Scaler(Component):
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def to_state(self) -> dict:
-        check_fitted(self, "spread_")
-        return {
-            "method": self.method,
-            "center": self.center_.tolist(),
-            "spread": self.spread_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Scaler":
-        sc = cls(method=state["method"])
-        sc.center_ = np.asarray(state["center"], dtype=float)
-        sc.spread_ = np.asarray(state["spread"], dtype=float)
-        return sc
-
 
 def _sample_variance(X: np.ndarray) -> np.ndarray:
     if X.shape[0] < 2:
@@ -325,6 +261,8 @@ class Selector(Component):
     least one column is always kept; if a rule would drop everything, the
     highest-variance column survives.
     """
+
+    _fitted = ("mask_",)
 
     def __init__(self, method: str = "none", threshold: float = 0.0, k: int = 10):
         if method not in SELECT_METHODS:
@@ -371,21 +309,6 @@ class Selector(Component):
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X, y).transform(X)
-
-    def to_state(self) -> dict:
-        check_fitted(self, "mask_")
-        return {
-            "method": self.method,
-            "threshold": self.threshold,
-            "k": self.k,
-            "mask": [int(m) for m in self.mask_],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Selector":
-        sel = cls(method=state["method"], threshold=state["threshold"], k=state["k"])
-        sel.mask_ = np.asarray(state["mask"], dtype=bool)
-        return sel
 
 
 def make_encoder(method: str, **params) -> Encoder:

@@ -34,15 +34,6 @@ def run_search(dataset, max_evals=8, seed=1, objective="mse"):
 
 
 class TestFeatureMask:
-    def test_selection_matrix_matches_index_rule(self):
-        mask = FeatureMask((1, 0, 1))
-        rho = mask.selection_matrix()
-        assert rho.shape == (3, 2)
-        # positions derived by hand from the running-sum rule
-        assert rho.tolist() == [[1, 0], [0, 0], [0, 1]]
-        X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert (X @ rho).tolist() == [[1.0, 3.0], [4.0, 6.0]]
-
     def test_empty_mask_rejected(self):
         with pytest.raises(ConfigurationError):
             FeatureMask((0, 0))

@@ -10,11 +10,11 @@ from tabcash.models import (
     GradientBoosted,
     KNNModel,
     LogisticModel,
+    Model,
     PoissonGLM,
     RandomForest,
     RidgeRegression,
     make_model,
-    model_from_state,
 )
 
 
@@ -312,7 +312,7 @@ class TestFactoryAndSerialization:
             model.fit(X, y, n_classes=2)
         else:
             model.fit(X, y)
-        clone = model_from_state(model.to_state())
+        clone = Model.from_state(model.to_state())
         assert np.array_equal(clone.predict(X), model.predict(X))
         if task == "classification":
             assert np.array_equal(clone.predict_proba(X), model.predict_proba(X))
