@@ -199,7 +199,3 @@ class Balancer(Component):
                 nearest_d[closer] = d[closer]
                 nearest[closer] = i
         return X[in_bank], y[in_bank]
-
-
-def make_balancer(method: str, **params) -> Balancer:
-    return Balancer(method=method, **params)

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,14 @@ from .errors import (
     SchemaError,
     TabcashError,
 )
+from .models import LogisticModel, PoissonGLM, RidgeRegression
+from .preprocess import Encoder, Imputer
 from .tabular import (
     BINARY,
     DEFAULT_MISSING_TOKENS,
+    MULTICLASS,
     REGRESSION,
+    TASKS,
     Dataset,
     load_csv,
     read_csv_header,
@@ -53,9 +57,13 @@ ENV_PARALLELISM = "TABCASH_PARALLELISM"
 MODEL_FILE = "model.json"
 REPORT_FILE = "report.json"
 
-_VALIDATION_MODES = ("none", "holdout", "kfold")
-_STRATEGIES = ("none", "stacking", "bagging", "boosting")
-_TASKS = ("auto", "regression", "binary_classification", "multiclass_classification")
+# The metrics each task is reported on; an objective listed here must
+# match the task. Custom metrics are not listed and pass unchecked.
+_TASK_METRICS = {
+    REGRESSION: ("mse", "mae", "r2", "poisson_deviance"),
+    BINARY: ("accuracy", "auc", "gini"),
+    MULTICLASS: ("accuracy",),
+}
 
 
 @dataclass
@@ -89,25 +97,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.model_name:
             raise ConfigurationError("model_name must be non-empty")
-        if self.max_evals < 1:
-            raise ConfigurationError("max_evals must be at least 1")
-        if self.timeout <= 0:
-            raise ConfigurationError("timeout must be positive")
-        if self.validation not in _VALIDATION_MODES:
-            raise ConfigurationError(f"unknown validation mode {self.validation!r}")
-        if self.validation == "holdout" and not 0 < self.valid_size < 1:
-            raise ConfigurationError("holdout requires 0 < valid_size < 1")
-        if self.validation == "kfold" and self.folds < 2:
-            raise ConfigurationError("kfold requires folds >= 2")
-        if self.search_algo not in ("random", "adaptive"):
-            raise ConfigurationError(f"unknown search_algo {self.search_algo!r}")
-        if self.ensemble not in _STRATEGIES:
+        # The budget, protocol and sampler check their own fields.
+        self.budget()
+        self.protocol()
+        space_mod.get_sampler(self.search_algo)
+        if self.ensemble != "none" and self.ensemble not in ensemble_mod.STRATEGIES:
             raise ConfigurationError(f"unknown ensemble strategy {self.ensemble!r}")
         if self.n_members < 1:
             raise ConfigurationError("n_members must be at least 1")
         if not 0 < self.feature_fraction <= 1:
             raise ConfigurationError("feature_fraction must be in (0, 1]")
-        if self.task not in _TASKS:
+        if self.task != "auto" and self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
@@ -123,9 +123,7 @@ class ExperimentConfig:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        return {
-            name: getattr(self, name) for name in self.__dataclass_fields__
-        }
+        return asdict(self)
 
     def resolved_parallelism(self) -> int:
         if self.parallelism is not None:
@@ -163,18 +161,24 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
     payload.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return ExperimentConfig.from_dict(payload)
 
 
-def _load_train(config: ExperimentConfig) -> Dataset:
-    return load_csv(
+def _load_data(config: ExperimentConfig) -> tuple[Dataset, Dataset | None, metrics.Metric]:
+    """Train and test tables plus the objective, checked against the task."""
+    train = load_csv(
         config.data_path,
         config.response_column,
         missing_tokens=config.missing_tokens,
         task=None if config.task == "auto" else config.task,
         column_kinds=config.column_kinds,
     )
+    metric = metrics.get_metric(config.objective)
+    _check_objective(metric, train)
+    return train, _load_test(config, train), metric
 
 
 def _load_test(config: ExperimentConfig, train: Dataset) -> Dataset | None:
@@ -195,25 +199,15 @@ def _load_test(config: ExperimentConfig, train: Dataset) -> Dataset | None:
     if unknown:
         raise DataError(f"test response contains unseen class labels: {unknown}")
     y = np.asarray([mapping[v] for v in originals], dtype=np.int64)
-    return Dataset(
-        X=test.X,
-        y=y,
-        schema=test.schema,
-        response=test.response,
-        task=train.task,
-        labels=train.labels,
-    )
+    return replace(test, y=y, task=train.task, labels=train.labels)
 
 
 def _check_objective(metric: metrics.Metric, dataset: Dataset) -> None:
     """Reject objective/response mismatches before any search starts."""
     mid = metric.id
-    if mid in ("r2", "mse", "mae", "poisson_deviance") and dataset.task != REGRESSION:
-        raise ConfigurationError(f"objective {mid!r} requires a regression task")
-    if mid == "accuracy" and not dataset.is_classification():
-        raise ConfigurationError("objective 'accuracy' requires a classification task")
-    if mid in ("auc", "gini") and dataset.task != BINARY:
-        raise ConfigurationError(f"objective {mid!r} requires a binary task")
+    suited = [task for task, ids in _TASK_METRICS.items() if mid in ids]
+    if suited and dataset.task not in suited:
+        raise ConfigurationError(f"objective {mid!r} requires a {' or '.join(suited)} task")
     if mid == "poisson_deviance" and (np.asarray(dataset.y, dtype=float) < 0).any():
         raise ConfigurationError(
             "objective 'poisson_deviance' requires a nonnegative response"
@@ -222,21 +216,24 @@ def _check_objective(metric: metrics.Metric, dataset: Dataset) -> None:
 
 def _report(dataset: Dataset, bundle: metrics.PredictionBundle) -> dict:
     """Per-metric report; metrics undefined on this output are skipped."""
-    y = dataset.y
     out: dict[str, float] = {}
-    if dataset.is_classification():
-        candidates = ["accuracy"] + (["auc", "gini"] if dataset.task == BINARY else [])
-    else:
-        candidates = ["mse", "mae", "r2", "poisson_deviance"]
-    for mid in candidates:
+    for mid in _TASK_METRICS[dataset.task]:
         try:
-            out[mid] = metrics.get_metric(mid).raw(y, bundle)
+            out[mid] = metrics.get_metric(mid).raw(dataset.y, bundle)
         except TabcashError:
             continue
     return out
 
 
-def _write_predictions(path, dataset: Dataset, bundle, labels) -> None:
+def _write_report(out_dir: Path, report: dict, prefix: str = "") -> None:
+    with open(out_dir / REPORT_FILE, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+    for split_name, values in report.items():
+        rendered = "  ".join(f"{k}={v:.6g}" for k, v in sorted(values.items()))
+        print(f"{prefix}{split_name}: {rendered}")
+
+
+def _write_predictions(path, bundle, labels) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if bundle.probabilities is not None:
@@ -253,33 +250,24 @@ def _write_predictions(path, dataset: Dataset, bundle, labels) -> None:
 
 
 def _fit_model(config: ExperimentConfig, train: Dataset, metric, search_space):
-    """Dispatch on the ensemble strategy; returns (model, persist thunk)."""
-    budget = config.budget()
-    protocol = config.protocol()
-    sampler = space_mod.get_sampler(config.search_algo)
-    parallelism = config.resolved_parallelism()
-    common = dict(
-        sampler=sampler,
+    """Dispatch on the ensemble strategy; persists histories, returns the model."""
+    search = dict(
+        budget=config.budget(),
+        sampler=space_mod.get_sampler(config.search_algo),
         metric=metric,
-        parallelism=parallelism,
-        protocol=protocol,
+        seed=config.seed,
+        parallelism=config.resolved_parallelism(),
+        protocol=config.protocol(),
     )
     out_dir = Path(config.output_dir) / config.model_name
-    config_echo = config.to_dict()
+    echo = dict(experiment=config.model_name, config=config.to_dict())
 
     if config.ensemble in ("none", "stacking"):
         try:
-            result = engine.optimize(
-                train, search_space, budget, seed=config.seed, **common
-            )
+            result = engine.optimize(train, search_space, **search)
         except OptimizationError as exc:
             # History is persisted even when the whole search failed.
-            engine.persist_history(
-                getattr(exc, "history", []),
-                out_dir,
-                experiment=config.model_name,
-                config=config_echo,
-            )
+            engine.persist_history(getattr(exc, "history", []), out_dir, **echo)
             raise
         if config.ensemble == "none":
             model = result.best
@@ -291,9 +279,8 @@ def _fit_model(config: ExperimentConfig, train: Dataset, metric, search_space):
             result.history,
             out_dir,
             best=result.best,
-            experiment=config.model_name,
-            config=config_echo,
             elapsed_seconds=result.elapsed_seconds,
+            **echo,
         )
         return model
 
@@ -301,37 +288,28 @@ def _fit_model(config: ExperimentConfig, train: Dataset, metric, search_space):
         model, histories = ensemble_mod.build_bagging(
             train,
             search_space,
-            budget,
             n_members=config.n_members,
             feature_fraction=config.feature_fraction,
-            seed=config.seed,
             voting=config.voting,
-            **common,
+            **search,
         )
     else:
         model, histories = ensemble_mod.build_boosting(
-            train,
-            search_space,
-            budget,
-            n_members=config.n_members,
-            seed=config.seed,
-            **common,
+            train, search_space, n_members=config.n_members, **search
         )
     for h, history in enumerate(histories, start=1):
+        group = f"group_{h:02d}"
         engine.persist_history(
             history,
-            out_dir / f"group_{h:02d}",
-            experiment=f"{config.model_name}/group_{h:02d}",
-            config=config_echo if h == 1 else None,
+            out_dir / group,
+            experiment=f"{config.model_name}/{group}",
+            config=echo["config"] if h == 1 else None,
         )
     return model
 
 
 def cmd_fit(config: ExperimentConfig) -> int:
-    train = _load_train(config)
-    metric = metrics.get_metric(config.objective)
-    _check_objective(metric, train)
-    test = _load_test(config, train)
+    train, test, metric = _load_data(config)
     search_space = space_mod.apply_overrides(
         space_mod.default_space(train.task, y=train.y, n_features=train.n_features),
         config.space,
@@ -342,35 +320,23 @@ def cmd_fit(config: ExperimentConfig) -> int:
     model = _fit_model(config, train, metric, search_space)
     ensemble_mod.save_model(model, out_dir / MODEL_FILE)
 
+    splits = {"train": train} if test is None else {"train": train, "test": test}
     report = {}
-    train_bundle = model.predict_bundle(train.X)
-    report["train"] = _report(train, train_bundle)
-    _write_predictions(
-        out_dir / "predictions_train.csv", train, train_bundle, train.labels
-    )
-    if test is not None:
-        X_test, ignored = (
-            model.align(test) if test.feature_names != train.feature_names
-            else (test.X, [])
-        )
-        if ignored:
-            logger.warning("ignoring unknown test columns: %s", ignored)
-        test_bundle = model.predict_bundle(X_test)
-        report["test"] = _report(test, test_bundle)
-        _write_predictions(
-            out_dir / "predictions_test.csv", test, test_bundle, train.labels
-        )
-    with open(out_dir / REPORT_FILE, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-
-    for split_name, values in report.items():
-        rendered = "  ".join(f"{k}={v:.6g}" for k, v in sorted(values.items()))
-        print(f"{split_name}: {rendered}")
+    for split_name, dataset in splits.items():
+        X = dataset.X
+        if dataset.feature_names != train.feature_names:
+            X, ignored = model.align(dataset)
+            if ignored:
+                logger.warning("ignoring unknown test columns: %s", ignored)
+        bundle = model.predict_bundle(X)
+        report[split_name] = _report(dataset, bundle)
+        _write_predictions(out_dir / f"predictions_{split_name}.csv", bundle, train.labels)
+    _write_report(out_dir, report)
     print(f"artifacts written to {out_dir}")
     return EXIT_OK
 
 
-def cmd_predict(model_path, data_path, output_path, missing_tokens=None) -> int:
+def cmd_predict(model_path, data_path, output_path) -> int:
     model = ensemble_mod.load_model(model_path)
     # Reload columns under the kinds frozen at fit time, so a column that
     # was forced categorical does not re-infer as numeric here.
@@ -379,14 +345,14 @@ def cmd_predict(model_path, data_path, output_path, missing_tokens=None) -> int:
     data = load_csv(
         data_path,
         response_column=None,
-        missing_tokens=missing_tokens or DEFAULT_MISSING_TOKENS,
+        missing_tokens=DEFAULT_MISSING_TOKENS,
         column_kinds=kinds,
     )
     X, ignored = model.align(data)
     if ignored:
         print(f"warning: ignoring unknown columns {ignored}", file=sys.stderr)
     bundle = model.predict_bundle(X)
-    _write_predictions(output_path, data, bundle, model.labels)
+    _write_predictions(output_path, bundle, model.labels)
     print(f"predictions written to {output_path}")
     return EXIT_OK
 
@@ -449,8 +415,6 @@ def cmd_history(directory, top: int = 10) -> int:
 
 
 def _glm_for_task(train: Dataset):
-    from .models import LogisticModel, PoissonGLM, RidgeRegression
-
     if train.is_classification():
         return LogisticModel()
     y = np.asarray(train.y, dtype=float)
@@ -459,80 +423,60 @@ def _glm_for_task(train: Dataset):
     return RidgeRegression(alpha=1e-3)
 
 
+def _split_offset(dataset: Dataset, column: str, path) -> tuple[Dataset, np.ndarray]:
+    """The table without the exposure column, and the log of that column."""
+    names = list(dataset.feature_names)
+    if column not in names:
+        raise ConfigurationError(f"offset column {column!r} not in {path}")
+    j = names.index(column)
+    try:
+        exposure = dataset.X[:, j].astype(float)
+    except (TypeError, ValueError):
+        exposure = np.array([np.nan])
+    if np.isnan(exposure).any() or (exposure <= 0).any():
+        raise DataError(f"offset column {column!r} in {path} must be positive and complete")
+    keep = np.ones(dataset.n_features, dtype=bool)
+    keep[j] = False
+    return dataset.select_features(keep), np.log(exposure)
+
+
 def cmd_glm_baseline(config: ExperimentConfig) -> int:
     """Fit the task-matched GLM on one-hot encoded, mean-imputed data."""
-    from .preprocess import Encoder, Imputer
-
-    train = _load_train(config)
-    metric = metrics.get_metric(config.objective)
-    _check_objective(metric, train)
-    test = _load_test(config, train)
-
-    offset_train = offset_test = None
+    train, test, _ = _load_data(config)
+    splits = {"train": train} if test is None else {"train": train, "test": test}
+    offsets = dict.fromkeys(splits)
     if config.offset_column:
-        names = list(train.feature_names)
-        if config.offset_column not in names:
-            raise ConfigurationError(
-                f"offset column {config.offset_column!r} not in the data"
-            )
-        j = names.index(config.offset_column)
-        exposure = train.X[:, j].astype(float)
-        if np.isnan(exposure).any() or (exposure <= 0).any():
-            raise DataError("offset column must be positive and complete")
-        offset_train = np.log(exposure)
-        keep = np.ones(train.n_features, dtype=bool)
-        keep[j] = False
-        train = train.select_features(keep)
-        if test is not None:
-            test_names = list(test.feature_names)
-            if config.offset_column not in test_names:
-                raise ConfigurationError(
-                    f"offset column {config.offset_column!r} not in the test data"
-                )
-            tj = test_names.index(config.offset_column)
-            offset_test = np.log(test.X[:, tj].astype(float))
-            tkeep = np.ones(test.n_features, dtype=bool)
-            tkeep[tj] = False
-            test = test.select_features(tkeep)
+        paths = {"train": config.data_path, "test": config.test_path}
+        for name, dataset in splits.items():
+            splits[name], offsets[name] = _split_offset(dataset, config.offset_column, paths[name])
+        train = splits["train"]
 
     encoder = Encoder("onehot").fit(train.X, train.schema)
     imputer = Imputer("mean").fit(encoder.transform(train.X))
     Xt = imputer.transform(encoder.transform(train.X))
     model = _glm_for_task(train)
-    supports_offset = hasattr(model, "method") and model.method == "poisson_glm"
-    if supports_offset:
-        model.fit(Xt, train.y, offset=offset_train)
-        train_pred = model.predict(Xt, offset=offset_train)
-        train_bundle = metrics.PredictionBundle.regression(train_pred)
+    counts = isinstance(model, PoissonGLM)
+    if counts:
+        model.fit(Xt, train.y, offset=offsets["train"])
     elif train.is_classification():
         model.fit(Xt, train.y, n_classes=train.n_classes)
-        train_bundle = model.predict_bundle(Xt)
+    elif config.offset_column:
+        raise ConfigurationError("offset is only supported for count (Poisson) baselines")
     else:
-        if offset_train is not None:
-            raise ConfigurationError(
-                "offset is only supported for count (Poisson) baselines"
-            )
         model.fit(Xt, train.y)
-        train_bundle = model.predict_bundle(Xt)
 
-    report = {"train": _report(train, train_bundle)}
-    if test is not None:
-        Xe = imputer.transform(encoder.transform(test.X))
-        if supports_offset:
-            test_bundle = metrics.PredictionBundle.regression(
-                model.predict(Xe, offset=offset_test)
-            )
+    report = {}
+    for name, dataset in splits.items():
+        X = imputer.transform(encoder.transform(dataset.X))
+        if counts:
+            bundle = metrics.PredictionBundle.regression(model.predict(X, offset=offsets[name]))
         else:
-            test_bundle = model.predict_bundle(Xe)
-        report["test"] = _report(test, test_bundle)
+            bundle = model.predict_bundle(X)
+        report[name] = _report(dataset, bundle)
 
     out_dir = Path(config.output_dir) / f"{config.model_name}_glm"
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / REPORT_FILE, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    for split_name, values in report.items():
-        rendered = "  ".join(f"{k}={v:.6g}" for k, v in sorted(values.items()))
-        print(f"glm {split_name}: {rendered}")
+    _write_report(out_dir, report, prefix="glm ")
     print(f"report written to {out_dir / REPORT_FILE}")
     return EXIT_OK
 
@@ -559,57 +503,26 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# Config fields with a command-line flag, and the flag's argparse type.
+# `space`, `column_kinds` and `missing_tokens` are set in the config file only.
+_FLAG_TYPES = dict(
+    model_name=str, data_path=str, response_column=str, test_path=str, objective=str,
+    max_evals=int, timeout=float, validation=str, valid_size=float, folds=int,
+    search_algo=str, ensemble=str, n_members=int, voting=str, feature_fraction=float,
+    task=str, seed=int, parallelism=int, output_dir=str, offset_column=str,
+)
+_FLAG_NAMES = {"data_path": "--data", "test_path": "--test-data"}
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to a JSON config file")
-    parser.add_argument("--model-name", dest="model_name")
-    parser.add_argument("--data", dest="data_path")
-    parser.add_argument("--response-column", dest="response_column")
-    parser.add_argument("--test-data", dest="test_path")
-    parser.add_argument("--objective", dest="objective")
-    parser.add_argument("--max-evals", dest="max_evals", type=int)
-    parser.add_argument("--timeout", dest="timeout", type=float)
-    parser.add_argument("--validation", dest="validation")
-    parser.add_argument("--valid-size", dest="valid_size", type=float)
-    parser.add_argument("--folds", dest="folds", type=int)
-    parser.add_argument("--search-algo", dest="search_algo")
-    parser.add_argument("--ensemble", dest="ensemble")
-    parser.add_argument("--n-members", dest="n_members", type=int)
-    parser.add_argument("--voting", dest="voting")
-    parser.add_argument("--feature-fraction", dest="feature_fraction", type=float)
-    parser.add_argument("--task", dest="task")
-    parser.add_argument("--seed", dest="seed", type=int)
-    parser.add_argument("--parallelism", dest="parallelism", type=int)
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--offset-column", dest="offset_column")
-
-
-_CONFIG_KEYS = (
-    "model_name",
-    "data_path",
-    "response_column",
-    "test_path",
-    "objective",
-    "max_evals",
-    "timeout",
-    "validation",
-    "valid_size",
-    "folds",
-    "search_algo",
-    "ensemble",
-    "n_members",
-    "voting",
-    "feature_fraction",
-    "task",
-    "seed",
-    "parallelism",
-    "output_dir",
-    "offset_column",
-)
+    for name, kind in _FLAG_TYPES.items():
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, type=kind)
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    return load_config(args.config, overrides)
+    return load_config(args.config, {name: getattr(args, name) for name in _FLAG_TYPES})
 
 
 def build_parser() -> argparse.ArgumentParser:

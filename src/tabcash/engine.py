@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .balance import make_balancer
+from .balance import Balancer
 from .errors import (
     ConfigurationError,
     FormatError,
@@ -36,16 +36,7 @@ from .errors import (
 )
 from .metrics import Metric, PredictionBundle
 from .models import Model, make_model
-from .preprocess import (
-    Encoder,
-    Imputer,
-    Scaler,
-    Selector,
-    make_encoder,
-    make_imputer,
-    make_scaler,
-    make_selector,
-)
+from .preprocess import Encoder, Imputer, Scaler, Selector
 from .space import PipelineSpec, SearchSpace, get_sampler
 from .tabular import ColumnSchema, Dataset, FoldPlan, Split, make_folds, split_dataset
 
@@ -259,18 +250,18 @@ def fit_pipeline_on_rows(spec: PipelineSpec, dataset: Dataset, rows) -> TrainedP
     classification = dataset.is_classification()
     model_task = "classification" if classification else "regression"
 
-    encoder = make_encoder(spec.method("encode"), **spec.params("encode"))
+    encoder = Encoder(spec.method("encode"), **spec.params("encode"))
     Xe = encoder.fit(X_raw, dataset.schema).transform(X_raw)
-    imputer = make_imputer(spec.method("impute"), **spec.params("impute"))
+    imputer = Imputer(spec.method("impute"), **spec.params("impute"))
     Xi = imputer.fit(Xe).transform(Xe)
     if classification and spec.method("balance") != "none":
-        balancer = make_balancer(spec.method("balance"), **spec.params("balance"))
+        balancer = Balancer(spec.method("balance"), **spec.params("balance"))
         Xb, yb = balancer.fit_resample(Xi, y_raw, seed=spec.seed)
     else:
         Xb, yb = Xi, y_raw
-    scaler = make_scaler(spec.method("scale"), **spec.params("scale"))
+    scaler = Scaler(spec.method("scale"), **spec.params("scale"))
     Xs = scaler.fit(Xb).transform(Xb)
-    selector = make_selector(spec.method("select"), **spec.params("select"))
+    selector = Selector(spec.method("select"), **spec.params("select"))
     Xf = selector.fit(Xs, yb).transform(Xs)
 
     model_params = spec.params("model")
@@ -552,15 +543,30 @@ def save_pipeline(pipeline: TrainedPipeline, path) -> None:
         json.dump(pipeline.to_dict(), fh)
 
 
-def load_pipeline(path) -> TrainedPipeline:
+def load_saved(path, builders: dict):
+    """Build a saved model with the builder registered for its 'kind' tag.
+
+    A file that is not a JSON object of a known kind, or whose fields
+    outside the component states are missing or mistyped, is a FormatError.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot load pipeline from {path}: {exc}") from exc
-    if payload.get("kind") != "pipeline":
-        raise FormatError(f"{path} does not hold a serialized pipeline")
-    return TrainedPipeline.from_dict(payload)
+        raise FormatError(f"cannot load model from {path}: {exc}") from exc
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if not isinstance(kind, str) or kind not in builders:
+        raise FormatError(f"{path} holds no recognizable model (kind={kind!r})")
+    try:
+        return builders[kind](payload)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise FormatError(
+            f"malformed model file {path}: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def load_pipeline(path) -> TrainedPipeline:
+    return load_saved(path, {"pipeline": TrainedPipeline.from_dict})
 
 
 def load_history(directory) -> list[dict]:

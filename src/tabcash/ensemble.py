@@ -27,6 +27,7 @@ from .engine import (
     Protocol,
     TrainedPipeline,
     check_format_version,
+    load_saved,
     optimize,
     schema_from_json,
     schema_to_json,
@@ -34,7 +35,6 @@ from .engine import (
 from .errors import (
     ConfigurationError,
     EnsembleError,
-    FormatError,
     OptimizationError,
 )
 from .metrics import Metric, PredictionBundle
@@ -362,14 +362,6 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     """Load either a single pipeline or an ensemble, by its 'kind' tag."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot load model from {path}: {exc}") from exc
-    kind = payload.get("kind")
-    if kind == "pipeline":
-        return TrainedPipeline.from_dict(payload)
-    if kind == "ensemble":
-        return EnsembleModel.from_dict(payload)
-    raise FormatError(f"{path} holds no recognizable model (kind={kind!r})")
+    return load_saved(
+        path, {"pipeline": TrainedPipeline.from_dict, "ensemble": EnsembleModel.from_dict}
+    )

@@ -309,19 +309,3 @@ class Selector(Component):
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X, y).transform(X)
-
-
-def make_encoder(method: str, **params) -> Encoder:
-    return Encoder(method=method, **params)
-
-
-def make_imputer(method: str, **params) -> Imputer:
-    return Imputer(method=method, **params)
-
-
-def make_scaler(method: str, **params) -> Scaler:
-    return Scaler(method=method, **params)
-
-
-def make_selector(method: str, **params) -> Selector:
-    return Selector(method=method, **params)

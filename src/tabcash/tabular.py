@@ -165,23 +165,6 @@ class Split:
         if len(np.unique(all_idx)) != len(all_idx):
             raise ConfigurationError("split index lists overlap")
 
-    def to_dict(self) -> dict:
-        return {
-            "train_indices": [int(i) for i in self.train_indices],
-            "valid_indices": [int(i) for i in self.valid_indices],
-            "test_indices": [int(i) for i in self.test_indices],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Split":
-        return cls(
-            train_indices=np.asarray(d["train_indices"], dtype=int),
-            valid_indices=np.asarray(d["valid_indices"], dtype=int),
-            test_indices=np.asarray(d["test_indices"], dtype=int),
-            seed=d["seed"],
-        )
-
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -203,19 +186,6 @@ class FoldPlan:
         held = np.flatnonzero(self.assignments == fold)
         train = np.flatnonzero(self.assignments != fold)
         return train, held
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "assignments": [int(a) for a in self.assignments],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FoldPlan":
-        return cls(
-            k=d["k"], assignments=np.asarray(d["assignments"], dtype=int), seed=d["seed"]
-        )
 
 
 def _parse_number(token: str) -> float | None:

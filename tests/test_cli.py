@@ -9,6 +9,9 @@ from tabcash.cli import (
     EXIT_OK,
     EXIT_OPTIMIZATION,
     ExperimentConfig,
+    _FLAG_TYPES,
+    _config_from_args,
+    build_parser,
     main,
 )
 from tabcash.errors import ConfigurationError
@@ -75,6 +78,61 @@ class TestConfig:
         assert cfg.resolved_parallelism() == 1
 
 
+# One override per flag: (field, flag, argument, parsed value).
+OVERRIDES = [
+    ("model_name", "--model-name", "other", "other"),
+    ("data_path", "--data", "other.csv", "other.csv"),
+    ("response_column", "--response-column", "target", "target"),
+    ("test_path", "--test-data", "test.csv", "test.csv"),
+    ("objective", "--objective", "mae", "mae"),
+    ("max_evals", "--max-evals", "7", 7),
+    ("timeout", "--timeout", "30.5", 30.5),
+    ("validation", "--validation", "kfold", "kfold"),
+    ("valid_size", "--valid-size", "0.3", 0.3),
+    ("folds", "--folds", "5", 5),
+    ("search_algo", "--search-algo", "adaptive", "adaptive"),
+    ("ensemble", "--ensemble", "bagging", "bagging"),
+    ("n_members", "--n-members", "3", 3),
+    ("voting", "--voting", "median", "median"),
+    ("feature_fraction", "--feature-fraction", "0.5", 0.5),
+    ("task", "--task", "binary_classification", "binary_classification"),
+    ("seed", "--seed", "3", 3),
+    ("parallelism", "--parallelism", "2", 2),
+    ("output_dir", "--output-dir", "elsewhere", "elsewhere"),
+    ("offset_column", "--offset-column", "exposure", "exposure"),
+]
+
+
+class TestOverrides:
+    def test_every_flag_is_listed(self):
+        assert {name for name, *_ in OVERRIDES} == set(_FLAG_TYPES)
+
+    @pytest.mark.parametrize("command", ["fit", "glm-baseline"])
+    @pytest.mark.parametrize("name,flag,arg,value", OVERRIDES, ids=[o[1] for o in OVERRIDES])
+    def test_flag_overrides_only_its_field(self, tmp_path, command, name, flag, arg, value):
+        cfg = write_config(tmp_path)
+        base = ExperimentConfig.from_dict(json.loads(cfg.read_text())).to_dict()
+        args = build_parser().parse_args([command, "--config", str(cfg), flag, arg])
+        got = _config_from_args(args).to_dict()
+        assert base[name] != value
+        assert got == {**base, name: value}
+
+    def test_overrides_reach_the_fit(self, tmp_path):
+        other = tmp_path / "other.csv"
+        write_csv(generate(GeneratorSpec(kind="gaussian", n_rows=50, n_features=3, seed=5)), other)
+        cfg = write_config(tmp_path, data_path=str(tmp_path / "absent.csv"))
+        code = main(
+            ["fit", "--config", str(cfg), "--max-evals", "2", "--seed", "3", "--data", str(other)]
+        )
+        assert code == EXIT_OK
+        out_dir = tmp_path / "runs" / "exp"
+        assert len((out_dir / "history.jsonl").read_text().splitlines()) == 2
+        echo = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert echo["seed"] == 3
+        assert echo["max_evals"] == 2
+        assert echo["data_path"] == str(other)
+
+
 class TestFit:
     def test_fit_writes_artifacts_within_budget(self, tmp_path, capsys):
         write_regression_data(tmp_path)
@@ -108,6 +166,11 @@ class TestFit:
     def test_bad_config_exit_code(self, tmp_path):
         write_regression_data(tmp_path)
         cfg = write_config(tmp_path, max_evals=0)
+        assert main(["fit", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_config_not_an_object_exit_code(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
         assert main(["fit", "--config", str(cfg)]) == EXIT_CONFIG
 
     def test_missing_data_file_exit_code(self, tmp_path):
@@ -274,6 +337,34 @@ class TestPredict:
         saved = (tmp_path / "runs" / "exp" / "predictions_train.csv").read_text()
         assert out.read_text() == saved
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"kind": ["pipeline"]},
+            {"kind": "pipeline", "schema_version": 2},
+            {"kind": "ensemble", "schema_version": 2},
+        ],
+        ids=["list", "list-kind", "pipeline-without-fields", "ensemble-without-fields"],
+    )
+    def test_malformed_model_file_is_data_error(self, tmp_path, capsys, payload):
+        write_regression_data(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code = main(
+            [
+                "predict",
+                "--model",
+                str(model),
+                "--data",
+                str(tmp_path / "train.csv"),
+                "--output",
+                str(tmp_path / "o.csv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "model.json" in capsys.readouterr().err
+
     def test_classification_probability_columns(self, tmp_path):
         ds = generate(
             GeneratorSpec(kind="imbalanced_binary", n_rows=80, imbalance_ratio=3.0, seed=2)
@@ -350,6 +441,30 @@ class TestGlmBaseline:
         assert main(["glm-baseline", "--config", str(cfg)]) == EXIT_OK
         report = json.loads((tmp_path / "runs" / "off_glm" / "report.json").read_text())
         assert np.isfinite(report["train"]["poisson_deviance"])
+
+    @pytest.mark.parametrize("bad_cells", [("", "-1.0"), ("abc",)], ids=["blank-negative", "text"])
+    def test_test_file_exposure_is_checked(self, tmp_path, capsys, bad_cells):
+        rng = np.random.default_rng(8)
+        n = 60
+        x0 = rng.normal(size=n)
+        exposure = [repr(float(e)) for e in rng.uniform(0.5, 2.0, n)]
+        y = rng.poisson(np.exp(0.3 * x0))
+
+        def write(name, cells):
+            rows = [f"{float(x0[i])!r},{cells[i]},{y[i]}" for i in range(n)]
+            (tmp_path / name).write_text("\n".join(["x0,exposure,response"] + rows) + "\n")
+
+        write("train.csv", exposure)
+        write("test.csv", list(bad_cells) + exposure[len(bad_cells):])
+        cfg = write_config(
+            tmp_path,
+            objective="poisson_deviance",
+            offset_column="exposure",
+            test_path=str(tmp_path / "test.csv"),
+        )
+        assert main(["glm-baseline", "--config", str(cfg)]) == EXIT_DATA
+        assert "test.csv" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "exp_glm" / "report.json").exists()
 
     def test_binary_baseline_uses_logistic(self, tmp_path):
         ds = generate(

@@ -179,26 +179,6 @@ class TestFolds:
             assert sorted(np.concatenate([train, held]).tolist()) == list(range(17))
 
 
-class TestPlanSerialization:
-    def test_split_round_trip(self, tmp_path):
-        path = _write(tmp_path, "a,y\n" + "".join(f"{i},{i * 0.5}\n" for i in range(20)))
-        ds = load_csv(path, "y")
-        split = split_dataset(ds, 0.2, 0.1, seed=5)
-        from tabcash.tabular import Split
-
-        again = Split.from_dict(split.to_dict())
-        assert again.train_indices.tolist() == split.train_indices.tolist()
-        assert again.seed == split.seed
-
-    def test_fold_plan_round_trip(self):
-        from tabcash.tabular import FoldPlan
-
-        plan = make_folds(13, 3, seed=4)
-        again = FoldPlan.from_dict(plan.to_dict())
-        assert again.assignments.tolist() == plan.assignments.tolist()
-        assert again.k == plan.k
-
-
 class TestLog1p:
     def test_zero_maps_to_zero(self, tmp_path):
         path = _write(tmp_path, "a,y\n0,1.5\n1,2.5\n", name="l.csv")
