@@ -318,6 +318,8 @@ def cmd_fit(config: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     model = _fit_model(config, train, metric, search_space)
+    if set(config.missing_tokens) != DEFAULT_MISSING_TOKENS:
+        model.missing_tokens = list(config.missing_tokens)
     ensemble_mod.save_model(model, out_dir / MODEL_FILE)
 
     splits = {"train": train} if test is None else {"train": train, "test": test}
@@ -338,14 +340,17 @@ def cmd_fit(config: ExperimentConfig) -> int:
 
 def cmd_predict(model_path, data_path, output_path) -> int:
     model = ensemble_mod.load_model(model_path)
-    # Reload columns under the kinds frozen at fit time, so a column that
-    # was forced categorical does not re-infer as numeric here.
+    # Reload columns under the kinds and missing tokens frozen at fit time,
+    # so a column forced categorical does not re-infer as numeric here and
+    # a fit-time missing token is not read as a value.
     header = set(read_csv_header(data_path))
     kinds = {c.name: c.kind for c in model.feature_schema if c.name in header}
     data = load_csv(
         data_path,
         response_column=None,
-        missing_tokens=DEFAULT_MISSING_TOKENS,
+        missing_tokens=(
+            DEFAULT_MISSING_TOKENS if model.missing_tokens is None else model.missing_tokens
+        ),
         column_kinds=kinds,
     )
     X, ignored = model.align(data)

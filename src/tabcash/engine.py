@@ -140,6 +140,24 @@ def schema_from_json(items) -> tuple[ColumnSchema, ...]:
     )
 
 
+def input_format_to_json(model) -> dict:
+    """The fit's columns, plus its missing-cell tokens when they are not the defaults."""
+    out = {"feature_schema": schema_to_json(model.feature_schema)}
+    if model.missing_tokens is not None:
+        out["missing_tokens"] = list(model.missing_tokens)
+    return out
+
+
+def missing_tokens_from_json(d: dict) -> list[str] | None:
+    """The saved missing-cell tokens; None (the defaults) when the file has none."""
+    tokens = d.get("missing_tokens")
+    if tokens is not None and not (
+        isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+    ):
+        raise FormatError("missing_tokens must be a list of strings")
+    return tokens
+
+
 class TrainedPipeline:
     """Fitted stage components plus model; balancing never runs at predict."""
 
@@ -156,6 +174,7 @@ class TrainedPipeline:
         labels: tuple,
         feature_schema,
         trial: int = -1,
+        missing_tokens: list[str] | None = None,
     ):
         self.spec = spec
         self.encoder = encoder
@@ -168,6 +187,7 @@ class TrainedPipeline:
         self.labels = tuple(labels)
         self.feature_schema = tuple(feature_schema)
         self.trial = trial
+        self.missing_tokens = missing_tokens
 
     def is_classification(self) -> bool:
         return self.n_classes > 0
@@ -211,7 +231,7 @@ class TrainedPipeline:
             "n_classes": self.n_classes,
             "labels": list(self.labels),
             "trial": self.trial,
-            "feature_schema": schema_to_json(self.feature_schema),
+            **input_format_to_json(self),
             "spec": self.spec.to_dict(),
             "encoder": self.encoder.to_state(),
             "imputer": self.imputer.to_state(),
@@ -235,6 +255,7 @@ class TrainedPipeline:
             labels=tuple(d["labels"]),
             feature_schema=schema_from_json(d["feature_schema"]),
             trial=d["trial"],
+            missing_tokens=missing_tokens_from_json(d),
         )
 
 

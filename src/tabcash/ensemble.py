@@ -27,10 +27,11 @@ from .engine import (
     Protocol,
     TrainedPipeline,
     check_format_version,
+    input_format_to_json,
     load_saved,
+    missing_tokens_from_json,
     optimize,
     schema_from_json,
-    schema_to_json,
 )
 from .errors import (
     ConfigurationError,
@@ -91,6 +92,7 @@ class EnsembleModel:
         voting: str,
         members: list[EnsembleMember],
         feature_schema=None,
+        missing_tokens: list[str] | None = None,
     ):
         if strategy not in STRATEGIES:
             raise ConfigurationError(f"unknown ensemble strategy {strategy!r}")
@@ -125,6 +127,7 @@ class EnsembleModel:
                 "masked (bagging) ensembles need the full-width feature schema"
             )
         self.feature_schema = tuple(feature_schema)
+        self.missing_tokens = missing_tokens
 
     @property
     def n_members(self) -> int:
@@ -174,7 +177,7 @@ class EnsembleModel:
             "task": self.task,
             "n_classes": self.n_classes,
             "labels": list(self.labels),
-            "feature_schema": schema_to_json(self.feature_schema),
+            **input_format_to_json(self),
             "members": [
                 {
                     "tag": m.tag,
@@ -201,6 +204,7 @@ class EnsembleModel:
             voting=d["voting"],
             members=members,
             feature_schema=schema_from_json(d["feature_schema"]),
+            missing_tokens=missing_tokens_from_json(d),
         )
 
 

@@ -337,6 +337,47 @@ class TestPredict:
         saved = (tmp_path / "runs" / "exp" / "predictions_train.csv").read_text()
         assert out.read_text() == saved
 
+    def test_predict_reads_the_fit_missing_tokens(self, tmp_path):
+        # -999 marks a missing cell at fit time; predict must not read it as a number.
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=80)
+        b = rng.normal(size=80)
+        y = 2.0 * a - b + rng.normal(0, 0.1, 80)
+        cells = ["-999" if i % 7 == 0 else repr(float(a[i])) for i in range(80)]
+        lines = ["a,b,response"] + [f"{cells[i]},{float(b[i])!r},{float(y[i])!r}" for i in range(80)]
+        (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path, missing_tokens=["-999"], space={"impute": {"methods": ["mean"]}}
+        )
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        model = tmp_path / "runs" / "exp" / "model.json"
+        assert json.loads(model.read_text())["missing_tokens"] == ["-999"]
+        out = tmp_path / "preds.csv"
+        code = main(
+            ["predict", "--model", str(model), "--data", str(tmp_path / "train.csv"),
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        saved = (tmp_path / "runs" / "exp" / "predictions_train.csv").read_text()
+        assert out.read_text() == saved
+
+    def test_default_tokens_are_not_written(self, tmp_path):
+        saved = json.loads(self._fit(tmp_path, missing_tokens=["null", "NaN", "", "NA"]).read_text())
+        assert "missing_tokens" not in saved
+        assert list(saved).index("feature_schema") == list(saved).index("trial") + 1
+
+    def test_malformed_missing_tokens_is_data_error(self, tmp_path, capsys):
+        model = self._fit(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["missing_tokens"] = "-999"
+        model.write_text(json.dumps(payload))
+        code = main(
+            ["predict", "--model", str(model), "--data", str(tmp_path / "train.csv"),
+             "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == EXIT_DATA
+        assert "missing_tokens" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload",
         [
