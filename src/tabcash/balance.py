@@ -11,10 +11,9 @@ interpolation-based synthetic over-sampling, and the three kNN cleaning
 rules (mutual-pair removal, edited neighbors, condensed neighbors). The
 cleaning rules use the threshold only as a gate, not as a target ratio.
 
-The cleaning rules find neighbours with ``neighbors.py``: Euclidean
-distances whose squared differences are summed column by column in column
-order, with distance ties going to the lower row index. SMOTE ranks its
-minority neighbours the same way over Gram-trick distances.
+Every neighbour rule here finds neighbours with ``neighbors.py``: exact
+Euclidean distances whose squared differences are summed column by column
+in column order, with distance ties going to the lower row index.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .base import Component, as_float_matrix, check_no_missing
 from .errors import BalancingError, ConfigurationError
-from .neighbors import distance_blocks, k_smallest
+from .neighbors import distances, nearest
 
 logger = logging.getLogger(__name__)
 
@@ -58,12 +57,6 @@ def profile(y) -> ImbalanceProfile:
     if minor_count == 0:
         raise BalancingError("single-class labels have no minority to balance")
     return ImbalanceProfile(major, major_count, minor_count)
-
-
-def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
 
 
 class Balancer(Component):
@@ -135,10 +128,8 @@ class Balancer(Component):
             return self._random_over(X, y, prof, rng)
         extra = self._minority_target(prof) - prof.minority_count
         Xm = X[minority_idx]
-        dists = _pairwise_distances(Xm, Xm)
-        np.fill_diagonal(dists, np.inf)
         k = min(self.k, len(Xm) - 1)
-        neighbor_ids = k_smallest(dists, k)
+        neighbor_ids = nearest(Xm, Xm, k, skip=np.arange(len(Xm)))
         synth = np.empty((extra, X.shape[1]), dtype=float)
         labels = np.empty(extra, dtype=int)
         for s in range(extra):
@@ -151,26 +142,20 @@ class Balancer(Component):
 
     def _tomek(self, X, y, prof, rng):
         majority = y == prof.majority_class
-        nearest = np.empty(len(X), dtype=int)
-        for start, D in distance_blocks(X, X):
-            rows = np.arange(start, start + len(D))
-            D[np.arange(len(D)), rows] = np.inf
-            nearest[rows] = np.argmin(D, axis=1)
-        drop = majority & ~majority[nearest] & (nearest[nearest] == np.arange(len(X)))
+        rows = np.arange(len(X))
+        nn = nearest(X, X, 1, skip=rows)[:, 0]
+        drop = majority & ~majority[nn] & (nn[nn] == rows)
         return X[~drop], y[~drop]
 
     def _enn(self, X, y, prof, rng):
         majority_idx = np.flatnonzero(y == prof.majority_class)
         other_labels = np.unique(y[y != prof.majority_class])
         k = min(self.k, len(X) - 1)
+        labels = y[nearest(X[majority_idx], X, k, skip=majority_idx)]
+        own = (labels == prof.majority_class).sum(axis=1)
+        others = (labels[:, :, None] == other_labels).sum(axis=1).max(axis=1)
         drop = np.zeros(len(X), dtype=bool)
-        for start, D in distance_blocks(X[majority_idx], X):
-            rows = majority_idx[start : start + len(D)]
-            D[np.arange(len(D)), rows] = np.inf
-            labels = y[k_smallest(D, k)]
-            own = (labels == prof.majority_class).sum(axis=1)
-            others = (labels[:, :, None] == other_labels).sum(axis=1).max(axis=1)
-            drop[rows] = others > own
+        drop[majority_idx] = others > own
         return X[~drop], y[~drop]
 
     def _cnn(self, X, y, prof, rng):
@@ -180,22 +165,17 @@ class Balancer(Component):
         order = rng.permutation(len(X))
         # Every row's nearest bank row, ties to the lower index.
         bank_idx = np.flatnonzero(in_bank)
-        nearest_d = np.empty(len(X))
-        nearest = np.empty(len(X), dtype=int)
-        for start, D in distance_blocks(X, X[bank_idx]):
-            pos = np.argmin(D, axis=1)
-            nearest_d[start : start + len(D)] = D[np.arange(len(D)), pos]
-            nearest[start : start + len(D)] = bank_idx[pos]
+        nn = bank_idx[nearest(X, X[bank_idx], 1)[:, 0]]
+        nn_d = distances(X, X[nn, None])[:, 0]
         changed = True
         while changed:
             changed = False
             for i in order:
-                if in_bank[i] or y[nearest[i]] == y[i]:
+                if in_bank[i] or y[nn[i]] == y[i]:
                     continue
                 in_bank[i] = changed = True
-                _, D = next(distance_blocks(X[i : i + 1], X))
-                d = D[0]
-                closer = (d < nearest_d) | ((d == nearest_d) & (i < nearest))
-                nearest_d[closer] = d[closer]
-                nearest[closer] = i
+                d = distances(X[i : i + 1], X)[0]
+                closer = (d < nn_d) | ((d == nn_d) & (i < nn))
+                nn_d[closer] = d[closer]
+                nn[closer] = i
         return X[in_bank], y[in_bank]

@@ -261,14 +261,18 @@ def _fit_model(config: ExperimentConfig, train: Dataset, metric, search_space):
     )
     out_dir = Path(config.output_dir) / config.model_name
     echo = dict(experiment=config.model_name, config=config.to_dict())
+    default_tokens = set(config.missing_tokens) == DEFAULT_MISSING_TOKENS
+    tokens = None if default_tokens else list(config.missing_tokens)
 
     if config.ensemble in ("none", "stacking"):
         try:
             result = engine.optimize(train, search_space, **search)
         except OptimizationError as exc:
             # History is persisted even when the whole search failed.
-            engine.persist_history(getattr(exc, "history", []), out_dir, **echo)
+            engine.persist_history(exc.history, out_dir, **echo)
             raise
+        # best_pipeline.json is served too, so it reads cells as the fit did.
+        result.best.missing_tokens = tokens
         if config.ensemble == "none":
             model = result.best
         else:
@@ -282,29 +286,36 @@ def _fit_model(config: ExperimentConfig, train: Dataset, metric, search_space):
             elapsed_seconds=result.elapsed_seconds,
             **echo,
         )
-        return model
-
-    if config.ensemble == "bagging":
-        model, histories = ensemble_mod.build_bagging(
-            train,
-            search_space,
-            n_members=config.n_members,
-            feature_fraction=config.feature_fraction,
-            voting=config.voting,
-            **search,
-        )
     else:
-        model, histories = ensemble_mod.build_boosting(
-            train, search_space, n_members=config.n_members, **search
-        )
-    for h, history in enumerate(histories, start=1):
-        group = f"group_{h:02d}"
-        engine.persist_history(
-            history,
-            out_dir / group,
-            experiment=f"{config.model_name}/{group}",
-            config=echo["config"] if h == 1 else None,
-        )
+        histories = []
+        try:
+            if config.ensemble == "bagging":
+                model, histories = ensemble_mod.build_bagging(
+                    train,
+                    search_space,
+                    n_members=config.n_members,
+                    feature_fraction=config.feature_fraction,
+                    voting=config.voting,
+                    **search,
+                )
+            else:
+                model, histories = ensemble_mod.build_boosting(
+                    train, search_space, n_members=config.n_members, **search
+                )
+        except EnsembleError as exc:
+            histories = exc.histories
+            raise
+        finally:
+            # Finished and failed group histories alike, one directory each.
+            for h, history in enumerate(histories, start=1):
+                group = f"group_{h:02d}"
+                engine.persist_history(
+                    history,
+                    out_dir / group,
+                    experiment=f"{config.model_name}/{group}",
+                    config=echo["config"] if h == 1 else None,
+                )
+    model.missing_tokens = tokens
     return model
 
 
@@ -318,8 +329,6 @@ def cmd_fit(config: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     model = _fit_model(config, train, metric, search_space)
-    if set(config.missing_tokens) != DEFAULT_MISSING_TOKENS:
-        model.missing_tokens = list(config.missing_tokens)
     ensemble_mod.save_model(model, out_dir / MODEL_FILE)
 
     splits = {"train": train} if test is None else {"train": train, "test": test}
@@ -591,9 +600,8 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (OptimizationError, EnsembleError) as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
-        if isinstance(exc, OptimizationError) and exc.failures:
-            for reason, count in sorted(exc.failures.items()):
-                print(f"  {count:>4d} x {reason}", file=sys.stderr)
+        for reason, count in sorted(exc.failures.items()):
+            print(f"  {count:>4d} x {reason}", file=sys.stderr)
         return EXIT_OPTIMIZATION
     except TabcashError as exc:
         print(f"error: {exc}", file=sys.stderr)

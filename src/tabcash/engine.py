@@ -486,11 +486,11 @@ def optimize(
     elapsed = time.monotonic() - start
     best = _best_valid(history)
     if best is None:
-        exc = OptimizationError(
-            f"no valid trial among {len(history)} executed", failure_histogram(history)
+        raise OptimizationError(
+            f"no valid trial among {len(history)} executed",
+            failure_histogram(history),
+            history,
         )
-        exc.history = history
-        raise exc
     logger.info(
         "search done: %d trials, best k=%d loss=%.6g (%.1fs)",
         len(history),

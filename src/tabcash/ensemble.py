@@ -279,7 +279,8 @@ def build_bagging(
 ) -> tuple[EnsembleModel, list]:
     """One independent search per random feature subset; budgets split evenly.
 
-    Returns the ensemble and the per-subset histories (list of lists).
+    Returns the ensemble and the per-subset histories (list of lists). A
+    subset with no valid trial raises ``EnsembleError`` carrying them.
     """
     if n_members < 1:
         raise ConfigurationError("ensemble size must be at least 1")
@@ -302,7 +303,9 @@ def build_bagging(
             )
         except OptimizationError as exc:
             raise EnsembleError(
-                f"feature subset {h} produced no valid pipeline: {exc}"
+                f"feature subset {h} produced no valid pipeline: {exc}",
+                exc.failures,
+                histories + [exc.history],
             ) from exc
         members.append(EnsembleMember(pipeline=result.best, mask=mask, tag=h))
         histories.append(result.history)
@@ -325,7 +328,8 @@ def build_boosting(
     """Sequential searches on residual responses; prediction sums the stages.
 
     Each stage is evaluated in its own residual space. A stage with no
-    valid trial truncates the ensemble at the last good stage.
+    valid trial truncates the ensemble at the last good stage; its history
+    is still returned, last in the list.
     """
     if dataset.is_classification():
         raise ConfigurationError("boosting supports regression tasks only")
@@ -349,8 +353,11 @@ def build_boosting(
                 protocol=protocol,
             )
         except OptimizationError as exc:
+            histories.append(exc.history)
             if not members:
-                raise EnsembleError(f"boosting stage 1 failed: {exc}") from exc
+                raise EnsembleError(
+                    f"boosting stage 1 failed: {exc}", exc.failures, histories
+                ) from exc
             logger.warning("boosting stage %d had no valid trial, truncating: %s", h, exc)
             break
         members.append(EnsembleMember(pipeline=result.best, tag=h))

@@ -60,16 +60,25 @@ class TaskError(TabcashError):
 class OptimizationError(TabcashError):
     """Search exhausted its budget without a single valid trial.
 
-    Carries a histogram of failure reasons in ``failures``.
+    Carries a histogram of failure reasons in ``failures``, the trials in ``history``.
     """
 
-    def __init__(self, message: str, failures: dict[str, int] | None = None):
+    def __init__(self, message: str, failures: dict[str, int] | None = None, history=()):
         super().__init__(message)
         self.failures = dict(failures or {})
+        self.history = list(history)
 
 
 class EnsembleError(TabcashError):
-    """Ensemble construction failed (a subset produced no valid pipeline)."""
+    """Ensemble construction failed (a subset produced no valid pipeline).
+
+    Carries the failed group search's ``failures`` and every group's ``histories``.
+    """
+
+    def __init__(self, message: str, failures: dict[str, int] | None = None, histories=()):
+        super().__init__(message)
+        self.failures = dict(failures or {})
+        self.histories = list(histories)
 
 
 class FormatError(TabcashError):

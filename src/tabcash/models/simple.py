@@ -14,7 +14,7 @@ from ..base import (
 )
 from ..errors import ConfigurationError
 from ..metrics import PredictionBundle
-from ..neighbors import block_rows, k_smallest
+from ..neighbors import nearest
 
 
 class Model(Component):
@@ -110,9 +110,8 @@ class DummyModel(Model):
 class KNNModel(Model):
     """k-nearest-neighbor prediction with lower-row-index tie breaking.
 
-    Squared distances use the Gram expansion over query blocks of about
-    1 MB; ``neighbors.k_smallest`` ranks them by (distance, lower training
-    row index).
+    ``neighbors.nearest`` ranks training rows by exact Euclidean distance,
+    ties going to the lower training row index.
     """
 
     method = "knn"
@@ -143,19 +142,7 @@ class KNNModel(Model):
         return self
 
     def _neighbors(self, X: np.ndarray) -> np.ndarray:
-        k = min(self.k, len(self.X_))
-        out = np.empty((len(X), k), dtype=int)
-        sq_train = (self.X_ * self.X_).sum(axis=1)
-        step = block_rows(len(self.X_))
-        for start in range(0, len(X), step):
-            chunk = X[start : start + step]
-            d2 = (
-                (chunk * chunk).sum(axis=1)[:, None]
-                + sq_train[None, :]
-                - 2.0 * chunk @ self.X_.T
-            )
-            out[start : start + step] = k_smallest(d2, k)
-        return out
+        return nearest(X, self.X_, min(self.k, len(self.X_)))
 
     def predict(self, X) -> np.ndarray:
         check_fitted(self, "X_")

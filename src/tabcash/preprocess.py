@@ -18,7 +18,7 @@ from .base import (
     check_no_missing,
 )
 from .errors import ConfigurationError, ImputationError
-from .neighbors import distance_blocks, k_smallest
+from .neighbors import nearest
 from .tabular import CATEGORICAL, NUMERIC
 
 ENCODE_METHODS = ("ordinal", "onehot")
@@ -179,10 +179,8 @@ class Imputer(Component):
                 out[np.ix_(rows, holes)] = self.statistics_[holes]
                 continue
             k = min(self.k, len(bank))
-            for start, D in distance_blocks(X[np.ix_(rows, present)], bank[:, present]):
-                nearest = k_smallest(D, k)
-                block = rows[start : start + len(D)]
-                out[np.ix_(block, holes)] = bank[:, holes][nearest].mean(axis=1)
+            ids = nearest(X[np.ix_(rows, present)], bank[:, present], k)
+            out[np.ix_(rows, holes)] = bank[:, holes][ids].mean(axis=1)
         return out
 
     def transform(self, X) -> np.ndarray:

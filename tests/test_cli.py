@@ -240,6 +240,44 @@ class TestEnsembleStrategies:
         report = json.loads((tmp_path / "runs" / "exp" / "report.json").read_text())
         assert "mse" in report["train"]
 
+    @pytest.mark.parametrize("strategy", ["bagging", "boosting"])
+    def test_failed_group_search_keeps_its_history(self, tmp_path, capsys, strategy):
+        # A Gaussian response takes negative values, so every Poisson GLM fails.
+        ds = generate(GeneratorSpec(kind="gaussian", n_rows=120, n_features=3, seed=8))
+        write_csv(ds, tmp_path / "train.csv")
+        cfg = write_config(
+            tmp_path,
+            ensemble=strategy,
+            n_members=2,
+            max_evals=4,
+            space={"model": {"methods": ["poisson_glm"]}},
+        )
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OPTIMIZATION
+        group = tmp_path / "runs" / "exp" / "group_01"
+        records = [json.loads(line) for line in (group / "history.jsonl").read_text().splitlines()]
+        assert len(records) == 2 and all(r["status"] != "valid" for r in records)
+        assert json.loads((group / "manifest.json").read_text())["failures"]
+        err = capsys.readouterr().err
+        assert "optimization failed" in err and " x " in err
+
+    def test_truncating_boosting_stage_keeps_its_history(self, tmp_path):
+        # Stage 1 fits counts; the stage-2 residuals go negative, so the
+        # Poisson-only menu has no valid trial and the ensemble stops at one.
+        ds = generate(GeneratorSpec(kind="poisson", n_rows=120, n_features=3, seed=8))
+        write_csv(ds, tmp_path / "train.csv")
+        cfg = write_config(
+            tmp_path,
+            ensemble="boosting",
+            n_members=2,
+            max_evals=4,
+            space={"model": {"methods": ["poisson_glm"]}},
+        )
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        out_dir = tmp_path / "runs" / "exp"
+        assert len(json.loads((out_dir / "model.json").read_text())["members"]) == 1
+        lines = (out_dir / "group_02" / "history.jsonl").read_text().splitlines()
+        assert lines and all(json.loads(line)["status"] != "valid" for line in lines)
+
     def test_boosting_on_classification_is_config_error(self, tmp_path):
         ds = generate(
             GeneratorSpec(kind="imbalanced_binary", n_rows=80, imbalance_ratio=2.0, seed=10)
@@ -359,6 +397,13 @@ class TestPredict:
         )
         assert code == EXIT_OK
         saved = (tmp_path / "runs" / "exp" / "predictions_train.csv").read_text()
+        assert out.read_text() == saved
+        best = tmp_path / "runs" / "exp" / "best_pipeline.json"
+        code = main(
+            ["predict", "--model", str(best), "--data", str(tmp_path / "train.csv"),
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
         assert out.read_text() == saved
 
     def test_default_tokens_are_not_written(self, tmp_path):

@@ -1,11 +1,11 @@
-"""The shared neighbour primitive against sort-based and row-at-a-time oracles."""
+"""The shared neighbour search against sort-based and row-at-a-time oracles."""
 
 import numpy as np
 import pytest
 
 from tabcash.balance import Balancer, profile
 from tabcash.models import KNNModel
-from tabcash.neighbors import distance_blocks, k_smallest
+from tabcash.neighbors import distances, nearest
 from tabcash.preprocess import Imputer
 
 
@@ -91,44 +91,117 @@ def loop_knn_fill(bank, stats, X, k):
     return out
 
 
-class TestKSmallest:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_stable_argsort_on_ties(self, seed):
-        rng = np.random.default_rng(seed)
-        D = np.round(rng.uniform(0, 3, (40, 30)))
-        D[rng.uniform(size=D.shape) < 0.1] = np.inf
-        D[3] = 1.0
-        D[7] = np.inf
-        for k in (1, 2, 5, 29, 30):
-            np.testing.assert_array_equal(k_smallest(D, k), stable_k(D, k))
+def stable_nearest(Q, X, k, skip=None):
+    D = distances(Q, X)
+    if skip is not None:
+        D[np.arange(len(Q)), skip] = np.inf
+    return stable_k(D, k)
 
-    def test_single_column_and_nan(self):
-        D = np.array([[2.0], [np.nan]])
-        np.testing.assert_array_equal(k_smallest(D, 1), stable_k(D, 1))
-        D = np.array([[np.nan, 1.0, np.nan, 0.5], [3.0, np.nan, 3.0, 3.0]])
-        for k in range(1, 5):
-            np.testing.assert_array_equal(k_smallest(D, k), stable_k(D, k))
+
+class TestNearest:
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_integer_grid_ties(self, width):
+        rng = np.random.default_rng(width)
+        X = rng.integers(0, 3, (90, width)).astype(float)
+        Q = np.vstack([rng.integers(0, 3, (20, width)), rng.integers(0, 6, (20, width)) / 2])
+        for k in (1, 2, 5, len(X)):
+            np.testing.assert_array_equal(nearest(Q, X, k), stable_nearest(Q, X, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 89])
+    def test_skip(self, k):
+        rng = np.random.default_rng(k)
+        X = rng.integers(0, 3, (90, 3)).astype(float)
+        own = np.arange(len(X))
+        np.testing.assert_array_equal(
+            nearest(X, X, k, skip=own), stable_nearest(X, X, k, skip=own)
+        )
+        rows = np.flatnonzero(rng.uniform(size=len(X)) < 0.5)
+        np.testing.assert_array_equal(
+            nearest(X[rows], X, k, skip=rows), stable_nearest(X[rows], X, k, skip=rows)
+        )
+
+    @pytest.mark.parametrize("value", [0.0, 3.5, -1e8])
+    def test_all_equal_rows(self, value):
+        X = np.full((40, 4), value)
+        Q = np.vstack([X[:3], X[:3] + 1.0])
+        for k in (1, 2, 5, 40):
+            expected = np.tile(np.arange(k), (len(Q), 1))
+            np.testing.assert_array_equal(nearest(Q, X, k), expected)
+        np.testing.assert_array_equal(
+            nearest(X, X, 2, skip=np.arange(40))[:3], [[1, 2], [0, 2], [0, 1]]
+        )
+
+    @pytest.mark.parametrize("offset", [1e8, 3e9, -1e12])
+    def test_offset_rows(self, offset):
+        # The Gram form cancels here; only the exact re-rank can order these.
+        rng = np.random.default_rng(5)
+        X = offset + rng.integers(0, 5, (80, 3)) * 0.2
+        Q = offset + rng.integers(0, 9, (30, 3)) * 0.1
+        for k in (1, 2, 5, 80):
+            np.testing.assert_array_equal(nearest(Q, X, k), stable_nearest(Q, X, k))
+        one = np.array([[1e8], [1e8 + 1], [1e8 + 3]])
+        np.testing.assert_array_equal(nearest(np.array([[1e8 + 0.6]]), one, 2), [[1, 0]])
+
+    def test_overflow_and_infinite_values(self):
+        X = np.array([[1e200], [2e200], [0.0], [-1e200]])
+        Q = np.array([[0.0], [1e-300]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2, 4):
+                np.testing.assert_array_equal(nearest(Q, X, k), stable_nearest(Q, X, k))
+            np.testing.assert_array_equal(nearest(Q, X, 4), [[2, 0, 1, 3]] * 2)
+            # inf - inf gives NaN distances, which a stable argsort puts last.
+            X = np.array([[np.inf], [1.0], [np.inf], [-np.inf]])
+            Q = np.array([[np.inf], [0.0]])
+            for k in (1, 2, 4):
+                np.testing.assert_array_equal(nearest(Q, X, k), stable_nearest(Q, X, k))
+            np.testing.assert_array_equal(nearest(Q, X, 4), [[1, 3, 0, 2], [1, 0, 2, 3]])
 
 
 class TestDistanceBlocks:
+    """``distances``, the exact rule that ranks every block of candidates."""
+
     @pytest.mark.parametrize("width", range(1, 8))
     def test_bitwise_equal_to_row_formula(self, width):
         rng = np.random.default_rng(width)
         Q = rng.normal(size=(7, width))
         X = rng.normal(size=(50, width))
-        D = np.vstack([block for _, block in distance_blocks(Q, X)])
         expected = np.vstack([row_distances(X, q) for q in Q])
-        np.testing.assert_array_equal(D, expected)
+        np.testing.assert_array_equal(distances(Q, X), expected)
+        per_row = X[rng.integers(0, len(X), (len(Q), 9))]
+        np.testing.assert_array_equal(
+            distances(Q, per_row), np.vstack([row_distances(t, q) for q, t in zip(Q, per_row)])
+        )
 
     def test_blocks_cover_queries_in_order(self):
+        # 50,000 reference rows make blocks of two query rows. On all-equal
+        # rows every row is a candidate, so the re-rank takes one query row
+        # per sub-block.
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(50_000, 2))
-        Q = rng.normal(size=(9, 2))
-        starts, parts = zip(*distance_blocks(Q, X))
-        assert starts == (0, 2, 4, 6, 8)
-        D = np.vstack(parts)
-        for r in (0, 1, 2, 8):
-            np.testing.assert_array_equal(D[r], row_distances(X, Q[r]))
+        X = rng.integers(0, 30, (50_000, 2)).astype(float)
+        Q = rng.integers(0, 30, (9, 2)).astype(float)
+        for k in (1, 5, 300):
+            np.testing.assert_array_equal(nearest(Q, X, k), stable_nearest(Q, X, k))
+        flat = np.zeros_like(X)
+        np.testing.assert_array_equal(nearest(Q, flat, 3), np.tile(np.arange(3), (9, 1)))
+
+
+class TestGramCancellation:
+    def test_knn_model_on_offset_rows(self):
+        model = KNNModel("regression", k=1).fit([[1e8], [1e8 + 1], [1e8 + 3]], [0, 10, 20])
+        np.testing.assert_array_equal(model.predict([[1e8 + 0.6]]), [10.0])
+
+    def test_smote_pairs_offset_minority_rows_with_their_nearest(self):
+        # Minority rows pair up 0.25 apart, the pairs 10 apart: synthetic rows
+        # must stay inside a pair. Far neighbours would fill the gap.
+        offset = 1e10
+        minority = offset + np.array([[0.0], [0.25], [10.0], [10.25]])
+        X = np.vstack([minority, np.arange(40.0)[:, None]])
+        y = np.r_[np.ones(4, dtype=int), np.zeros(40, dtype=int)]
+        Xb, _ = Balancer("smote", ratio=1.0, k=1).fit_resample(X, y, seed=3)
+        s = Xb[len(X) :, 0] - offset
+        tol = 1e-5
+        inside = ((s >= -tol) & (s <= 0.25 + tol)) | ((s >= 10 - tol) & (s <= 10.25 + tol))
+        assert inside.all(), s[~inside]
 
 
 class TestCleaningMatchesRowLoops:
@@ -180,5 +253,4 @@ class TestKnnSearchMatchesArgsort:
         y = rng.integers(0, 2, 40)
         Q = rng.integers(0, 3, (25, 2)).astype(float)
         model = KNNModel("classification", k=7).fit(X, y)
-        d2 = (Q * Q).sum(1)[:, None] + (X * X).sum(1)[None, :] - 2.0 * Q @ X.T
-        np.testing.assert_array_equal(model._neighbors(Q), stable_k(d2, 7))
+        np.testing.assert_array_equal(model._neighbors(Q), stable_k(distances(Q, X), 7))
