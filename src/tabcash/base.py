@@ -53,7 +53,8 @@ class Component:
     """Minimal estimator base with sklearn-compatible parameter handling.
 
     A subclass lists the fitted attributes it persists in ``_fitted``; the
-    first one is set by ``fit`` and marks a fitted object.
+    first one is set by ``fit`` and marks a fitted object. State computed
+    from them is rebuilt by ``_derive``, which ``from_state`` calls.
     """
 
     _fitted: tuple[str, ...] = ()
@@ -106,11 +107,15 @@ class Component:
             fitted = state["fitted"]
             for name in found._fitted:
                 setattr(obj, name, _decode(fitted[name]))
+            obj._derive()
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise FormatError(
                 f"malformed {cls.__name__} state: {type(exc).__name__}: {exc}"
             ) from None
         return obj
+
+    def _derive(self) -> None:
+        """Rebuild state derived from the fitted attributes; it is not saved."""
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

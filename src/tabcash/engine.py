@@ -193,11 +193,15 @@ class TrainedPipeline:
         return self.n_classes > 0
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        """Run the fitted preprocessing stages on a raw feature table."""
+        """Run the fitted preprocessing stages on a raw feature table.
+
+        The encoder returns a fresh matrix, so the imputer, scaler and
+        selector work on it in place rather than each allocating a copy.
+        """
         out = self.encoder.transform(X)
-        out = self.imputer.transform(out)
-        out = self.scaler.transform(out)
-        return self.selector.transform(out)
+        out = self.imputer.transform(out, copy=False)
+        out = self.scaler.transform(out, copy=False)
+        return self.selector.transform(out, copy=False)
 
     def predict_bundle(self, X: np.ndarray) -> PredictionBundle:
         return self.model.predict_bundle(self.transform(X))

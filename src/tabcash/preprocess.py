@@ -37,6 +37,11 @@ class Encoder(Component):
     emits one 0/1 column per fitted category; unseen or missing values
     produce an all-zero block. Missing ordinal cells stay NaN for the
     imputer.
+
+    The encoded matrix is column-major (Fortran order). Column-wise
+    stages run fastest on it, and it is the layout the selector's column
+    gather gives the model. A model's matrix products round by layout,
+    so predictions keep their bits whether or not the selector copies.
     """
 
     _fitted = ("columns_", "out_names_")
@@ -69,39 +74,49 @@ class Encoder(Component):
                 self.out_names_.append(col.name)
             else:
                 self.out_names_.extend(f"{col.name}={c}" for c in seen)
+        self._derive()
         return self
+
+    def _derive(self) -> None:
+        """Output layout from ``columns_``: where each input column is written.
+
+        ``_numeric`` pairs a (source, target) slice for each run of adjacent
+        numeric columns, so they are copied by slices: a fancy-index gather
+        of columns is many times slower. ``_categorical`` lists (source
+        column, first output column, mapping). Built once per fit or load,
+        since a one-row transform cannot afford it.
+        """
+        self._numeric, self._categorical = [], []
+        n_columns = len(self.columns_)
+        breaks = [j for j, info in enumerate(self.columns_) if info["kind"] != NUMERIC]
+        width = start = 0
+        for stop in breaks + [n_columns]:
+            if start < stop:
+                self._numeric.append((slice(start, stop), slice(width, width + stop - start)))
+                width += stop - start
+            if stop < n_columns:
+                mapping = self.columns_[stop]["mapping"]
+                self._categorical.append((stop, width, mapping))
+                width += 1 if self.method == "ordinal" else max(len(mapping), 1)
+            start = stop + 1
+        self._width = width
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "columns_")
         check_matching_width(X, len(self.columns_))
         n = X.shape[0]
-        blocks: list[np.ndarray] = []
-        for j, info in enumerate(self.columns_):
-            if info["kind"] == NUMERIC:
-                blocks.append(X[:, j].astype(float).reshape(n, 1))
-                continue
-            mapping = info["mapping"]
+        out = np.zeros((n, self._width), order="F")
+        for src, dst in self._numeric:
+            out[:, dst] = X[:, src]
+        for j, first, mapping in self._categorical:
             if self.method == "ordinal":
                 unknown = len(mapping)
-                out = np.empty((n, 1), dtype=float)
-                for i, cell in enumerate(X[:, j]):
-                    if cell is None:
-                        out[i, 0] = np.nan
-                    else:
-                        out[i, 0] = mapping.get(cell, unknown)
-                blocks.append(out)
+                out[:, first] = [np.nan if c is None else mapping.get(c, unknown) for c in X[:, j]]
             else:
-                out = np.zeros((n, max(len(mapping), 1)), dtype=float)
-                if len(mapping) == 0:
-                    blocks.append(out)
-                    continue
-                for i, cell in enumerate(X[:, j]):
-                    if cell is not None and cell in mapping:
-                        out[i, mapping[cell]] = 1.0
-                blocks.append(out)
-        if not blocks:
-            return np.empty((n, 0), dtype=float)
-        return np.hstack(blocks)
+                codes = np.fromiter((mapping.get(c, -1) for c in X[:, j]), np.intp, n)
+                hit = np.flatnonzero(codes >= 0)
+                out[hit, first + codes[hit]] = 1.0
+        return out
 
     def fit_transform(self, X: np.ndarray, schema) -> np.ndarray:
         return self.fit(X, schema).transform(X)
@@ -166,7 +181,8 @@ class Imputer(Component):
         return self
 
     def _fill_knn(self, X: np.ndarray) -> np.ndarray:
-        out = X.copy()
+        # Fills X in place: a row's present cells, the only ones read, are
+        # never written.
         bank = self.complete_rows_
         missing = np.isnan(X)
         incomplete = np.flatnonzero(missing.any(axis=1))
@@ -176,23 +192,25 @@ class Imputer(Component):
             holes = np.flatnonzero(pattern)
             present = ~pattern
             if bank is None or len(bank) == 0 or not present.any():
-                out[np.ix_(rows, holes)] = self.statistics_[holes]
+                X[np.ix_(rows, holes)] = self.statistics_[holes]
                 continue
             k = min(self.k, len(bank))
             ids = nearest(X[np.ix_(rows, present)], bank[:, present], k)
-            out[np.ix_(rows, holes)] = bank[:, holes][ids].mean(axis=1)
-        return out
+            X[np.ix_(rows, holes)] = bank[:, holes][ids].mean(axis=1)
+        return X
 
-    def transform(self, X) -> np.ndarray:
+    def transform(self, X, copy: bool = True) -> np.ndarray:
+        """Filled table; ``copy=False`` fills a float64 ``X`` in place."""
         check_fitted(self, "statistics_")
         X = as_float_matrix(X)
         check_matching_width(X, len(self.statistics_))
+        if copy:
+            X = X.copy()
         if self.method == "knn":
             return self._fill_knn(X)
-        out = X.copy()
-        holes = np.isnan(out)
-        out[holes] = np.broadcast_to(self.statistics_, out.shape)[holes]
-        return out
+        holes = np.isnan(X)
+        X[holes] = np.broadcast_to(self.statistics_, X.shape)[holes]
+        return X
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
@@ -234,11 +252,14 @@ class Scaler(Component):
         self.spread_ = np.where(np.abs(self.spread_) < _EPS, 1.0, self.spread_)
         return self
 
-    def transform(self, X) -> np.ndarray:
+    def transform(self, X, copy: bool = True) -> np.ndarray:
+        """Rescaled table; ``copy=False`` rescales a float64 ``X`` in place."""
         check_fitted(self, "spread_")
         X = as_float_matrix(X)
         check_matching_width(X, len(self.spread_))
-        return (X - self.center_) / self.spread_
+        out = X - self.center_ if copy else np.subtract(X, self.center_, out=X)
+        out /= self.spread_
+        return out
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
@@ -299,10 +320,13 @@ class Selector(Component):
         self.mask_ = mask
         return self
 
-    def transform(self, X) -> np.ndarray:
+    def transform(self, X, copy: bool = True) -> np.ndarray:
+        """Kept columns; ``copy=False`` returns ``X`` itself when all are kept."""
         check_fitted(self, "mask_")
         X = as_float_matrix(X)
         check_matching_width(X, len(self.mask_))
+        if not copy and self.mask_.all():
+            return X
         return X[:, self.mask_]
 
     def fit_transform(self, X, y=None) -> np.ndarray:

@@ -58,24 +58,12 @@ def default_coefficients(n_features: int) -> tuple:
     return tuple(0.3 * (-1.0) ** j for j in range(n_features))
 
 
-def _inject_missing(X: np.ndarray, fraction: float, rng) -> np.ndarray:
-    if fraction <= 0 or X.size == 0:
-        return X
-    n_cells = X.shape[0] * X.shape[1]
-    n_missing = int(fraction * n_cells)
-    flat = rng.choice(n_cells, size=n_missing, replace=False)
-    for pos in flat:
-        i, j = divmod(int(pos), X.shape[1])
-        X[i, j] = np.nan if isinstance(X[i, j], float) else None
-    return X
-
-
-def _categorical_block(n_rows: int, n_cols: int, rng) -> list[np.ndarray]:
-    cols = []
-    for _ in range(n_cols):
-        picks = rng.integers(0, len(_CATEGORY_LEVELS), n_rows)
-        cols.append(np.array([_CATEGORY_LEVELS[p] for p in picks], dtype=object))
-    return cols
+def _missing_cells(n_rows: int, width: int, fraction: float, rng) -> np.ndarray:
+    """Flat positions, row-major over ``(n_rows, width)``, of the cells to blank."""
+    n_cells = n_rows * width
+    if fraction <= 0 or n_cells == 0:
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(n_cells, size=int(fraction * n_cells), replace=False)
 
 
 def generate(spec: GeneratorSpec) -> Dataset:
@@ -113,29 +101,29 @@ def generate(spec: GeneratorSpec) -> Dataset:
         task, labels = REGRESSION, ()
         response = ColumnSchema("response", NUMERIC)
 
-    columns: list[np.ndarray] = [
-        Xnum[:, j].astype(object) for j in range(spec.n_features)
-    ]
-    schemas = [ColumnSchema(f"x{j}", NUMERIC) for j in range(spec.n_features)]
-    for c, col in enumerate(_categorical_block(spec.n_rows, spec.n_categorical, rng)):
-        columns.append(col)
-        schemas.append(
-            ColumnSchema(f"c{c}", CATEGORICAL, categories=_CATEGORY_LEVELS)
-        )
-    X = np.stack(columns, axis=1)
-    X = _inject_missing(X, spec.missing_fraction, rng)
+    levels = np.array(_CATEGORY_LEVELS, dtype=object)
+    Xcat = np.empty((spec.n_rows, spec.n_categorical), dtype=object)
+    for c in range(spec.n_categorical):
+        Xcat[:, c] = levels[rng.integers(0, len(levels), spec.n_rows)]
+    width = spec.n_features + spec.n_categorical
+    rows, cols = np.divmod(_missing_cells(spec.n_rows, width, spec.missing_fraction, rng), width)
+    numeric = cols < spec.n_features
+    Xnum[rows[numeric], cols[numeric]] = np.nan
+    Xcat[rows[~numeric], cols[~numeric] - spec.n_features] = None
+    X = np.concatenate([Xnum, Xcat], axis=1) if spec.n_categorical else Xnum
 
-    missing_by_col = [
-        sum(
-            1
-            for v in X[:, j]
-            if v is None or (isinstance(v, float) and np.isnan(v))
-        )
-        for j in range(X.shape[1])
-    ]
+    missing_by_col = np.bincount(cols, minlength=width).tolist()
     schemas = [
-        ColumnSchema(s.name, s.kind, missing_count=m, categories=s.categories)
-        for s, m in zip(schemas, missing_by_col)
+        ColumnSchema(f"x{j}", NUMERIC, missing_count=missing_by_col[j])
+        for j in range(spec.n_features)
+    ] + [
+        ColumnSchema(
+            f"c{c}",
+            CATEGORICAL,
+            missing_count=missing_by_col[spec.n_features + c],
+            categories=_CATEGORY_LEVELS,
+        )
+        for c in range(spec.n_categorical)
     ]
     return Dataset(
         X=X,

@@ -1,10 +1,12 @@
 """Column-typed tabular data: CSV ingestion, splits, folds, log1p transform.
 
 A :class:`Dataset` is immutable after construction and safe to share across
-concurrent trials. Feature cells live in an object matrix: numeric cells are
-floats (NaN = missing), categorical cells are strings (None = missing).
-Classification responses are re-indexed to codes ``0..n_classes-1`` with the
-original labels kept for reporting.
+concurrent trials. A feature table whose columns are all numeric is a
+float64 matrix, NaN marking a missing cell. A table with a categorical
+column is an object matrix: numeric cells are floats (NaN = missing),
+categorical cells are strings (None = missing). Classification responses
+are re-indexed to codes ``0..n_classes-1`` with the original labels kept
+for reporting.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ class ColumnSchema:
 class Dataset:
     """Feature matrix, optional response, schemas, and task kind.
 
-    ``X`` is an object array of shape (n_rows, n_features). ``y`` is float64
-    for regression and int64 class codes for classification; ``labels`` maps
-    codes back to the original response values.
+    ``X`` has shape (n_rows, n_features). It is float64 when every column
+    is numeric (construction converts it), and an object array when a
+    column is categorical. ``y`` is float64 for regression and int64 class
+    codes for classification; ``labels`` maps codes back to the original
+    response values.
     """
 
     X: np.ndarray
@@ -73,6 +77,11 @@ class Dataset:
             raise SchemaError("response length does not match row count")
         if self.task is not None and self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
+        if self.X.dtype != np.float64 and all(c.kind == NUMERIC for c in self.schema):
+            try:
+                object.__setattr__(self, "X", self.X.astype(np.float64))
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"numeric feature table holds a non-number: {exc}") from None
         self.X.setflags(write=False)
         if self.y is not None:
             self.y.setflags(write=False)
@@ -238,30 +247,28 @@ def _build_feature_column(cells: list[str | None], name: str, forced: str | None
     cells into missing values; forced categorical keeps numeric-looking
     cells as string labels.
     """
-    parsed = [None if c is None else _parse_number(c) for c in cells]
-    if forced == NUMERIC:
-        numeric = True
-        cells = [None if p is None else c for c, p in zip(cells, parsed)]
-    elif forced == CATEGORICAL:
-        numeric = False
-    else:
-        numeric = all(p is not None for c, p in zip(cells, parsed) if c is not None)
-    missing = sum(1 for c in cells if c is None)
-    if numeric:
-        values = np.array(
-            [np.nan if c is None else p for c, p in zip(cells, parsed)], dtype=object
-        )
-        return values, ColumnSchema(name, NUMERIC, missing_count=missing)
-    categories: list[str] = []
-    seen = set()
-    for c in cells:
-        if c is not None and c not in seen:
-            seen.add(c)
-            categories.append(c)
+    absent = cells.count(None)
+    if forced != CATEGORICAL:
+        values = _parse_column(cells)
+        missing = int(np.isnan(values).sum())
+        if forced == NUMERIC or missing == absent:
+            return values, ColumnSchema(name, NUMERIC, missing_count=missing)
+    categories = tuple(dict.fromkeys(c for c in cells if c is not None))
     values = np.array(cells, dtype=object)
     return values, ColumnSchema(
-        name, CATEGORICAL, missing_count=missing, categories=tuple(categories)
+        name, CATEGORICAL, missing_count=absent, categories=categories
     )
+
+
+def _parse_column(cells: list[str | None]) -> np.ndarray:
+    """Float64 values of one column; NaN where a cell is missing or not a finite number."""
+    try:
+        values = np.array([math.nan if c is None else float(c) for c in cells], dtype=float)
+    except ValueError:
+        parsed = (None if c is None else _parse_number(c) for c in cells)
+        values = np.array([math.nan if p is None else p for p in parsed], dtype=float)
+    values[np.isinf(values)] = math.nan
+    return values
 
 
 def read_csv_header(path) -> list[str]:
@@ -325,9 +332,8 @@ def load_csv(
             )
 
     columns: dict[str, list[str | None]] = {h: [] for h in header}
-    for row in rows:
-        for h, cell in zip(header, row):
-            columns[h].append(None if cell in missing_tokens else cell)
+    for h, cells in zip(header, zip(*rows)):
+        columns[h] += [None if cell in missing_tokens else cell for cell in cells]
 
     feature_names = [h for h in header if h != response_column]
     feats = []
@@ -409,27 +415,29 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(values: np.ndarray) -> list[str]:
+    """CSV fields of one column, ``_format_cell`` of each value."""
+    if values.dtype == np.float64:
+        return ["" if v != v else repr(v) for v in values.tolist()]
+    return [_format_cell(v) for v in values.tolist()]
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Write a Dataset back to CSV; missing cells become empty fields."""
+    columns = [_format_column(dataset.X[:, j]) for j in range(dataset.n_features)]
+    header = list(dataset.feature_names)
+    if dataset.y is not None and dataset.response is not None:
+        header.append(dataset.response.name)
+        y_out = (
+            dataset.original_labels(dataset.y)
+            if dataset.is_classification()
+            else dataset.y
+        )
+        columns.append(_format_column(y_out))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(dataset.feature_names)
-        has_response = dataset.y is not None and dataset.response is not None
-        if has_response:
-            header.append(dataset.response.name)
         writer.writerow(header)
-        y_out = None
-        if has_response:
-            y_out = (
-                dataset.original_labels(dataset.y)
-                if dataset.is_classification()
-                else dataset.y
-            )
-        for i in range(dataset.n_rows):
-            row = [_format_cell(v) for v in dataset.X[i]]
-            if y_out is not None:
-                row.append(_format_cell(y_out[i]))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def split_dataset(
@@ -486,15 +494,16 @@ def log1p_transform(
     for j, schema in enumerate(dataset.schema):
         if schema.name not in names:
             continue
-        for i in range(dataset.n_rows):
-            v = X[i, j]
-            if isinstance(v, float) and math.isnan(v):
-                continue
-            if v <= -1.0:
-                raise DomainError(
-                    f"log1p undefined for value {v} at row {i}, column {schema.name!r}"
-                )
-            X[i, j] = math.log1p(v)
+        col = X[:, j].astype(float)
+        below = col <= -1.0
+        if below.any():
+            i = int(np.argmax(below))
+            raise DomainError(
+                f"log1p undefined for value {col[i].item()} at row {i}, column {schema.name!r}"
+            )
+        # math.log1p, not np.log1p: numpy's vectorised log1p can differ in
+        # the last bit on some CPUs.
+        X[:, j] = [math.log1p(v) for v in col.tolist()]
     y = dataset.y
     if include_response:
         if dataset.task != REGRESSION:

@@ -1,13 +1,19 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from tabcash.errors import ConfigurationError, DataError, DomainError, SchemaError
+from tabcash.synthdata import GeneratorSpec, generate
 from tabcash.tabular import (
     BINARY,
+    CATEGORICAL,
     MULTICLASS,
+    NUMERIC,
     REGRESSION,
+    ColumnSchema,
+    Dataset,
     infer_task,
     load_csv,
     log1p_transform,
@@ -106,6 +112,53 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,y\n1,0.5\n2,1.5\n")
         with pytest.raises(ConfigurationError):
             load_csv(path, "y", column_kinds={"y": "categorical"})
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_number_makes_column_categorical(self, tmp_path, token):
+        path = _write(tmp_path, f"a,y\n1,0\n{token},1\n2,0\n")
+        assert load_csv(path, "y").schema[0].kind == CATEGORICAL
+        forced = load_csv(path, "y", column_kinds={"a": NUMERIC})
+        assert forced.schema[0].missing_count == 1
+        assert forced.X[:, 0].tolist()[::2] == [1.0, 2.0] and math.isnan(forced.X[1, 0])
+
+
+class TestFeatureDtype:
+    """A feature table is float64 exactly when every column is numeric."""
+
+    def test_load_csv(self, tmp_path):
+        path = _write(tmp_path, "a,b,y\n1,,0\n2.5,-0,1\n")
+        numeric = load_csv(path, "y")
+        assert numeric.X.dtype == np.float64 and not numeric.X.flags.writeable
+        assert math.isnan(numeric.X[0, 1]) and math.copysign(1.0, numeric.X[1, 1]) == -1.0
+        assert load_csv(path, "y", column_kinds={"b": CATEGORICAL}).X.dtype == object
+        mixed = load_csv(_write(tmp_path, "a,b,y\n1,u,0\n,v,1\n", name="m.csv"), "y")
+        assert mixed.X.dtype == object
+        assert isinstance(mixed.X[0, 0], float) and mixed.X[1, 1] == "v"
+
+    @pytest.mark.parametrize("n_categorical", [0, 2])
+    def test_generate_take_rows_select_features(self, n_categorical):
+        ds = generate(GeneratorSpec("poisson", n_rows=40, n_features=3, seed=1,
+                                    n_categorical=n_categorical, missing_fraction=0.2))
+        dtype = object if n_categorical else np.float64
+        assert ds.X.dtype == dtype and ds.take_rows([3, 1]).X.dtype == dtype
+        numeric = [c.kind == NUMERIC for c in ds.schema]
+        assert ds.select_features(numeric).X.dtype == np.float64
+        assert ds.select_features(np.ones(ds.n_features, dtype=bool)).X.dtype == dtype
+        assert [c.missing_count for c in ds.schema] == [
+            sum(v is None or (isinstance(v, float) and math.isnan(v)) for v in ds.X[:, j].tolist())
+            for j in range(ds.n_features)
+        ]
+
+    def test_hand_built_table(self):
+        schema = (ColumnSchema("a", NUMERIC), ColumnSchema("b", NUMERIC))
+        ds = Dataset(np.array([[1.5, np.nan], [2, -0.0]], dtype=object), None, schema)
+        assert ds.X.dtype == np.float64 and not ds.X.flags.writeable
+        assert Dataset(np.array([[1, 2]]), None, schema).X.dtype == np.float64
+        assert math.isnan(Dataset(np.array([[1.0, None]], dtype=object), None, schema).X[0, 1])
+        with pytest.raises(SchemaError):
+            Dataset(np.array([[1.0, "abc"]], dtype=object), None, schema)
+        cat = (ColumnSchema("a", NUMERIC), ColumnSchema("c", CATEGORICAL, categories=("u",)))
+        assert Dataset(np.array([[1.0, "u"]], dtype=object), None, cat).X.dtype == object
 
 
 class TestInferTask:
@@ -212,8 +265,85 @@ class TestLog1p:
         with pytest.raises(ConfigurationError):
             log1p_transform(ds, ["a"])
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_bit_exact_against_math_log1p(self, mixed):
+        rng = np.random.default_rng(2)
+        values = np.concatenate([
+            rng.uniform(-0.999, 4.0, 3000), np.exp(rng.uniform(-40, 40, 3000)),
+            -1.0 + np.exp(rng.uniform(-35, 0, 3000)),
+            [0.0, -0.0, 1e-320, 5e-324, 1e300, 3.0, np.nan],
+        ])
+        schema = [ColumnSchema("a", NUMERIC), ColumnSchema("b", NUMERIC)]
+        X = np.stack([values, values[::-1]], axis=1).astype(object)
+        if mixed:
+            schema.append(ColumnSchema("c", CATEGORICAL, categories=("u",)))
+            X = np.concatenate([X, np.full((len(values), 1), "u", dtype=object)], axis=1)
+        out = log1p_transform(Dataset(X, None, tuple(schema)), ["a"])
+        expected = [v if math.isnan(v) else math.log1p(v) for v in values.tolist()]
+        assert np.array(out.X[:, 0], dtype=float).tobytes() == np.array(expected).tobytes()
+        assert np.array(out.X[:, 1], dtype=float).tobytes() == values[::-1].tobytes()
+
+    def test_domain_error_names_first_cell_in_column_order(self):
+        schema = (ColumnSchema("a", NUMERIC), ColumnSchema("b", NUMERIC))
+        X = np.array([[0.0, -3.0], [1.0, 0.0], [np.nan, 1.0], [-1.0, 2.0], [-7.5, 0.0]])
+        ds = Dataset(X, None, schema)
+        with pytest.raises(DomainError) as err:
+            log1p_transform(ds, ["b", "a"])
+        assert str(err.value) == "log1p undefined for value -1.0 at row 3, column 'a'"
+        with pytest.raises(DomainError) as err:
+            log1p_transform(ds, ["b"])
+        assert str(err.value) == "log1p undefined for value -3.0 at row 0, column 'b'"
+
+
+def _reference_write_csv(dataset, path):
+    """Reference writer: one row at a time, each cell formatted on its own."""
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return "" if math.isnan(value) else repr(float(value))
+        return str(value)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = list(dataset.feature_names)
+        y_out = None
+        if dataset.y is not None and dataset.response is not None:
+            header.append(dataset.response.name)
+            y_out = (dataset.original_labels(dataset.y) if dataset.is_classification()
+                     else dataset.y)
+        writer.writerow(header)
+        for i in range(dataset.n_rows):
+            row = [fmt(v) for v in dataset.X[i]]
+            if y_out is not None:
+                row.append(fmt(y_out[i]))
+            writer.writerow(row)
+
 
 class TestRoundTrip:
+    def test_write_csv_bytes_match_cell_by_cell_writer(self, tmp_path):
+        odd = [-0.0, 1e-320, 1e300, 3.0, -12.0, 2.0**60, np.nan, 0.1, -1.5e-7]
+        num = (ColumnSchema("a", NUMERIC), ColumnSchema("b", NUMERIC))
+        floats = np.array([odd, odd[::-1]], dtype=float).T
+        cat = ColumnSchema("c", CATEGORICAL, categories=("x,y", 'q"'))
+        mixed = np.empty((len(odd), 3), dtype=object)
+        mixed[:, :2] = floats
+        mixed[:, 2] = ["x,y", 'q"', None] * 3
+        codes = np.arange(len(odd)) % 2
+        tables = [
+            Dataset(floats, np.array(odd), num, ColumnSchema("y", NUMERIC), REGRESSION),
+            Dataset(floats, None, num),
+            Dataset(mixed, codes, num + (cat,), ColumnSchema("y", CATEGORICAL,
+                    categories=("no", "yes")), BINARY, ("no", "yes")),
+            Dataset(mixed, codes, num + (cat,), ColumnSchema("y", NUMERIC), BINARY, (0, 1)),
+            generate(GeneratorSpec("gaussian", n_rows=30, n_features=2, n_categorical=1,
+                                   missing_fraction=0.3, seed=5)),
+        ]
+        for k, ds in enumerate(tables):
+            write_csv(ds, tmp_path / f"new{k}.csv")
+            _reference_write_csv(ds, tmp_path / f"old{k}.csv")
+            assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
+
     def test_csv_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = ["num,cat,y"]
