@@ -24,7 +24,7 @@ def _encode(value):
     """JSON form of one fitted attribute.
 
     Arrays become ``{dtype, shape, data}`` with ``data`` the base64 of the
-    little-endian bytes; a list of components becomes a list of states.
+    little-endian bytes.
     """
     if isinstance(value, np.ndarray):
         little = value.astype(value.dtype.newbyteorder("<"), copy=False)
@@ -33,8 +33,6 @@ def _encode(value):
             "shape": list(value.shape),
             "data": binascii.b2a_base64(little.tobytes(), newline=False).decode("ascii"),
         }
-    if type(value) is list and value and isinstance(value[0], Component):
-        return [v.to_state() for v in value]
     return value
 
 
@@ -44,8 +42,6 @@ def _decode(value):
         flat = np.frombuffer(binascii.a2b_base64(value["data"]), dtype=code)
         # One copy: writable, and in the host's byte order.
         return flat.reshape(value["shape"]).astype("=" + code[1:])
-    if type(value) is list and value and type(value[0]) is dict and "class" in value[0]:
-        return [Component.from_state(v) for v in value]
     return value
 
 
@@ -108,7 +104,7 @@ class Component:
             for name in found._fitted:
                 setattr(obj, name, _decode(fitted[name]))
             obj._derive()
-        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, ConfigurationError) as exc:
             raise FormatError(
                 f"malformed {cls.__name__} state: {type(exc).__name__}: {exc}"
             ) from None

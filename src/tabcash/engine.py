@@ -43,7 +43,7 @@ from .tabular import ColumnSchema, Dataset, FoldPlan, Split, make_folds, split_d
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1  # history.jsonl and manifest.json
-FORMAT_VERSION = 2  # saved pipelines and ensembles
+FORMAT_VERSION = 3  # saved pipelines and ensembles
 
 HISTORY_FILE = "history.jsonl"
 TIMINGS_FILE = "timings.jsonl"

@@ -14,7 +14,7 @@ from ..base import (
 )
 from ..errors import ConfigurationError
 from ..metrics import PredictionBundle
-from ..neighbors import nearest
+from ..neighbors import nearest, squared_norms
 
 
 class Model(Component):
@@ -111,7 +111,8 @@ class KNNModel(Model):
     """k-nearest-neighbor prediction with lower-row-index tie breaking.
 
     ``neighbors.nearest`` ranks training rows by exact Euclidean distance,
-    ties going to the lower training row index.
+    ties going to the lower training row index. The squared norms of the
+    training rows are derived once per fit or load, not saved.
     """
 
     method = "knn"
@@ -139,10 +140,14 @@ class KNNModel(Model):
         else:
             self.y_ = as_float_vector(y).copy()
             self.n_classes_ = 0
+        self._derive()
         return self
 
+    def _derive(self) -> None:
+        self._sq = squared_norms(self.X_)
+
     def _neighbors(self, X: np.ndarray) -> np.ndarray:
-        return nearest(X, self.X_, min(self.k, len(self.X_)))
+        return nearest(X, self.X_, min(self.k, len(self.X_)), sq=self._sq)
 
     def predict(self, X) -> np.ndarray:
         check_fitted(self, "X_")

@@ -20,6 +20,18 @@ A feature with no allowed split (all values equal, or none leaving
 a node are scored together, in blocks of at most ``_BLOCK`` sorted values
 (one feature per block on large nodes) so memory stays flat; the rule
 above makes the tree independent of the blocking.
+
+A fitted model keeps all its trees in one node table of parallel arrays,
+one entry per node: ``feature_``, ``threshold_``, ``left_``, ``right_``
+and ``value_`` (``(nodes,)`` for regression, ``(nodes, n_classes)`` for
+classification), plus ``roots_``, the root of each tree. Each tree's
+nodes are stored in preorder. A row at a split goes left when
+``X[row, feature] <= threshold``. A leaf has feature -1, threshold NaN
+and both children pointing to itself, so ``_walk`` can move every tree
+and every row at once, one level per step, for as many steps as the
+deepest tree has levels: a row that reaches a leaf early stays on it.
+A split's value is zero and never read. Rows are walked in blocks of
+about ``_WALK`` (tree, row) pairs, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from .simple import Model, _resolve_n_classes
 
 _MIN_GAIN = 1e-12
 _BLOCK = 1 << 12
+_WALK = 1 << 16  # (tree, row) pairs walked at once
 
 
 def _leaf_payload(y: np.ndarray, n_classes: int):
@@ -55,6 +68,17 @@ def _node_cost(y: np.ndarray, n_classes: int) -> float:
 def _presort(X: np.ndarray) -> np.ndarray:
     """Row indices of each column of ``X`` in (value, row) order, shape (w, n)."""
     return np.argsort(X.T, axis=1, kind="stable")
+
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Rank of each cell among its column's distinct values, shape (w, n)."""
+    order = np.argsort(X.T, axis=1)
+    xs = np.take_along_axis(X.T, order, axis=1)
+    steps = np.zeros(order.shape, dtype=np.int64)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=steps[:, 1:])
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps, axis=1)
+    return ranks
 
 
 def _split_costs(xs: np.ndarray, ys: np.ndarray, n_classes: int, min_leaf: int) -> np.ndarray:
@@ -100,19 +124,41 @@ def _split_costs(xs: np.ndarray, ys: np.ndarray, n_classes: int, min_leaf: int) 
     return cost
 
 
+class _Table:
+    """Nodes of one or more trees while they grow, appended in preorder."""
+
+    def __init__(self, n_classes: int):
+        self.n_classes = n_classes
+        self.blank = [0.0] * n_classes if n_classes else 0.0
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+        self.roots = []
+
+    def add(self, value, feature: int = -1, threshold: float = math.nan) -> int:
+        """Append a node whose children are itself (a leaf until they are set)."""
+        node = len(self.feature)
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.left.append(node)
+        self.right.append(node)
+        self.value.append(value)
+        return node
+
+
 class _TreeBuilder:
     """Grows one tree on fixed ``X``, ``y`` from their presorted column orders.
 
     A node is its rows (ascending) and the ``(w, n)`` orders of those rows
-    per column. When ``fitted`` is given, every leaf writes its value to
-    the training rows it holds, which equals the tree's prediction on them.
+    per column; ``build`` appends the tree to ``table``. When ``fitted`` is
+    given, every leaf writes its value to the training rows it holds, which
+    equals the tree's prediction on them.
     """
 
-    def __init__(self, X, y, n_classes: int, max_depth, min_split: int, min_leaf: int,
+    def __init__(self, X, y, table: _Table, max_depth, min_split: int, min_leaf: int,
                  feature_sample: int | None = None, rng=None, fitted=None):
         self.X = X
         self.y = y
-        self.n_classes = n_classes
+        self.table = table
+        self.n_classes = table.n_classes
         self.max_depth = math.inf if max_depth is None else max_depth
         self.min_split = min_split
         self.min_leaf = min_leaf
@@ -121,7 +167,8 @@ class _TreeBuilder:
         self.fitted = fitted
         self.goes_left = np.zeros(len(y), dtype=bool)
 
-    def build(self, order: np.ndarray, rows: np.ndarray, depth: int = 0) -> dict:
+    def build(self, order: np.ndarray, rows: np.ndarray, depth: int = 0) -> int:
+        """Append the subtree of ``rows`` to the table; the index of its root."""
         w, n = order.shape
         y = self.y[rows]
         parent_cost = _node_cost(y, self.n_classes)
@@ -149,18 +196,16 @@ class _TreeBuilder:
         # it once split, so the orders alive along a path cover disjoint rows.
         orders = [order[~in_left].reshape(w, len(right)), order[in_left].reshape(w, len(left))]
         del order, in_left
-        return {
-            "feature": j,
-            "threshold": threshold,
-            "left": self.build(orders.pop(), left, depth + 1),
-            "right": self.build(orders.pop(), right, depth + 1),
-        }
+        node = self.table.add(self.table.blank, j, threshold)
+        self.table.left[node] = self.build(orders.pop(), left, depth + 1)
+        self.table.right[node] = self.build(orders.pop(), right, depth + 1)
+        return node
 
-    def _leaf(self, rows: np.ndarray, y: np.ndarray) -> dict:
+    def _leaf(self, rows: np.ndarray, y: np.ndarray) -> int:
         payload = _leaf_payload(y, self.n_classes)
         if self.fitted is not None:
             self.fitted[rows] = payload
-        return {"leaf": payload}
+        return self.table.add(payload)
 
     def _best_split(self, order: np.ndarray, features: np.ndarray):
         """(cost, feature, threshold) of the node's best split, or None if none is allowed."""
@@ -176,41 +221,117 @@ class _TreeBuilder:
             low[~np.isfinite(low)] = np.inf
             i = int(np.argmin(low))
             if low[i] < (best[0] if best else np.inf):
-                lo, hi = xs[i, pos[i]], xs[i, pos[i] + 1]
+                # Python floats: -inf + inf and overflow give NaN and inf without a warning.
+                lo, hi = float(xs[i, pos[i]]), float(xs[i, pos[i] + 1])
                 threshold = 0.5 * (lo + hi)
                 if not threshold < hi:
-                    # Adjacent floats: the midpoint rounds up and would send every row left.
+                    # Adjacent floats, an overflow or -inf and inf: the midpoint
+                    # is not below hi and would send every row left.
                     threshold = lo
-                best = (float(low[i]), int(block[i]), float(threshold))
+                best = (float(low[i]), int(block[i]), threshold)
         return best
 
 
-def _tree_apply(node: dict, X: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
-    if len(rows) == 0:
-        return
-    if "leaf" in node:
-        out[rows] = node["leaf"]
-        return
-    go_left = X[rows, node["feature"]] <= node["threshold"]
-    _tree_apply(node["left"], X, out, rows[go_left])
-    _tree_apply(node["right"], X, out, rows[~go_left])
+_TABLE = ("roots_", "feature_", "threshold_", "left_", "right_", "value_")
 
 
-def _tree_predict(node: dict, X: np.ndarray, n_classes: int) -> np.ndarray:
-    rows = np.arange(len(X))
-    if n_classes:
-        out = np.empty((len(X), n_classes))
-    else:
-        out = np.empty(len(X))
-    _tree_apply(node, X, out, rows)
-    return out
+class _TreeModel(Model):
+    """A model whose fitted trees are one node table (see the module docstring)."""
+
+    def _grow(self, table: _Table, X, y, order, rng=None, feature_sample=None,
+              fitted=None) -> None:
+        """Append one tree fitted on checked inputs; ``order`` is the presort of ``X``."""
+        builder = _TreeBuilder(
+            X,
+            y,
+            table,
+            self.max_depth,
+            self.min_samples_split,
+            self.min_samples_leaf,
+            feature_sample,
+            rng,
+            fitted,
+        )
+        table.roots.append(builder.build(order, np.arange(len(y))))
+
+    def _store(self, table: _Table) -> None:
+        self.roots_ = np.array(table.roots, dtype=np.int32)
+        self.feature_ = np.array(table.feature, dtype=np.int32)
+        self.threshold_ = np.array(table.threshold)
+        self.left_ = np.array(table.left, dtype=np.int32)
+        self.right_ = np.array(table.right, dtype=np.int32)
+        self.value_ = np.array(table.value)
+        self._derive()
+
+    def _derive(self) -> None:
+        """The walk's index arrays, and ``_levels``, the split levels of the deepest tree.
+
+        ``_children[2 * node + go_right]`` is a node's child; ``_feature``
+        sends a leaf to column 0, which it reads and ignores.
+        """
+        n = len(self.feature_)
+        lengths = {len(self.threshold_), len(self.left_), len(self.right_), len(self.value_)}
+        if not len(self.roots_) or lengths != {n}:
+            raise ValueError("the node table is empty or its arrays differ in length")
+        if not -1 <= self.feature_.min() <= self.feature_.max() < self.n_features_:
+            raise ValueError("a node reads a column outside the fitted width")
+        levels, nodes = 0, self.roots_
+        while True:
+            nodes = nodes[self.left_[nodes] != nodes]
+            if not len(nodes):
+                break
+            levels += 1
+            if levels > n:
+                raise ValueError("the node table has a cycle")
+            nodes = np.concatenate([self.left_[nodes], self.right_[nodes]])
+        self._levels = levels
+        self._children = np.stack([self.left_, self.right_], axis=1).ravel().astype(np.intp)
+        self._feature = np.maximum(self.feature_, 0).astype(np.intp)
+
+    def _apply(self, X, reduce) -> np.ndarray:
+        """``reduce`` of the leaf values of every tree, one block of rows at a time.
+
+        ``reduce`` maps the ``(trees, rows)`` or ``(trees, rows, k)`` leaf
+        values of a block to one result per row. A block has two rows or
+        more unless ``X`` has one: numpy sums the ``(trees, 1)`` values of a
+        lone row pairwise, and those of a block in tree order, and a row's
+        result must not depend on how ``X`` is cut.
+        """
+        check_fitted(self, "roots_")
+        X = self._check_X(X)
+        check_matching_width(X, self.n_features_)
+        step = max(2, _WALK // len(self.roots_))
+        parts, start = [], 0
+        for stop in [*range(step, len(X) - 1, step), len(X)]:
+            parts.append(reduce(self._walk(X[start:stop])))
+            start = stop
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _walk(self, X: np.ndarray) -> np.ndarray:
+        n, w = X.shape
+        cells = np.ascontiguousarray(X).ravel()
+        row_start = np.arange(n) * w
+        node = np.repeat(self.roots_.astype(np.intp)[:, None], n, axis=1)
+        for _ in range(self._levels):
+            # X holds no NaN, so ">" is exactly "not <=" at every split.
+            go_right = cells[row_start + self._feature[node]] > self.threshold_[node]
+            node = self._children[2 * node + go_right]
+        return self.value_[node]
 
 
-class Cart(Model):
+def _only_tree(values: np.ndarray) -> np.ndarray:
+    return values[0]
+
+
+def _tree_mean(values: np.ndarray) -> np.ndarray:
+    return values.mean(axis=0)
+
+
+class Cart(_TreeModel):
     """Greedy binary decision tree; probabilities are leaf class frequencies."""
 
     method = "cart"
-    _fitted = ("tree_", "n_classes_", "n_features_")
+    _fitted = _TABLE + ("n_classes_", "n_features_")
 
     def __init__(
         self,
@@ -229,7 +350,7 @@ class Cart(Model):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
-        self.tree_: dict | None = None
+        self.roots_: np.ndarray | None = None
 
     @property
     def is_classifier(self) -> bool:
@@ -239,44 +360,26 @@ class Cart(Model):
         X, y = self._check_fit_inputs(X, y)
         if self.task == "classification":
             y = y.astype(int)
-            return self._grow(X, y, _resolve_n_classes(y, n_classes))
-        return self._grow(X, as_float_vector(y), 0)
-
-    def _grow(self, X, y, n_classes: int, order=None, rng=None, feature_sample=None,
-              fitted=None) -> "Cart":
-        """Fit on checked inputs; ``order`` is ``_presort(X)`` when the caller has it."""
-        builder = _TreeBuilder(
-            X,
-            y,
-            n_classes,
-            self.max_depth,
-            self.min_samples_split,
-            self.min_samples_leaf,
-            feature_sample,
-            rng,
-            fitted,
-        )
-        self.tree_ = builder.build(_presort(X) if order is None else order, np.arange(len(y)))
-        self.n_classes_ = n_classes
+            self.n_classes_ = _resolve_n_classes(y, n_classes)
+        else:
+            y = as_float_vector(y)
+            self.n_classes_ = 0
+        table = _Table(self.n_classes_)
+        self._grow(table, X, y, _presort(X))
         self.n_features_ = X.shape[1]
+        self._store(table)
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_fitted(self, "tree_")
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
         if self.task == "classification":
             return np.argmax(self.predict_proba(X), axis=1)
-        return _tree_predict(self.tree_, X, 0)
+        return self._apply(X, _only_tree)
 
     def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "tree_")
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
-        return _tree_predict(self.tree_, X, self.n_classes_)
+        return self._apply(X, _only_tree)
 
 
-class RandomForest(Model):
+class RandomForest(_TreeModel):
     """Bootstrap ensemble of CARTs with per-split feature subsampling.
 
     Tree t draws from a generator seeded with ``seed + t``. With
@@ -285,7 +388,7 @@ class RandomForest(Model):
     """
 
     method = "random_forest"
-    _fitted = ("trees_", "n_classes_", "n_features_")
+    _fitted = _TABLE + ("n_classes_", "n_features_")
 
     def __init__(
         self,
@@ -310,7 +413,7 @@ class RandomForest(Model):
         self.bootstrap = bootstrap
         self.feature_subsample = feature_subsample
         self.seed = seed
-        self.trees_: list[Cart] | None = None
+        self.roots_: np.ndarray | None = None
 
     @property
     def is_classifier(self) -> bool:
@@ -324,39 +427,32 @@ class RandomForest(Model):
         else:
             y = as_float_vector(y)
             self.n_classes_ = 0
-        w = X.shape[1]
+        n, w = X.shape
         per_split = max(1, math.ceil(math.sqrt(w))) if self.feature_subsample else None
-        self.trees_ = []
+        ranks = _dense_ranks(X)
+        positions = np.arange(n)
+        table = _Table(self.n_classes_)
         for t in range(self.n_trees):
             rng = np.random.default_rng(self.seed + t)
-            rows = rng.integers(0, len(X), len(X)) if self.bootstrap else np.arange(len(X))
-            tree = Cart(
-                task=self.task,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-            )
-            tree._grow(X[rows], y[rows], self.n_classes_, rng=rng, feature_sample=per_split)
-            self.trees_.append(tree)
+            rows = rng.integers(0, n, n) if self.bootstrap else positions
+            # The keys are distinct and ordered as (value, position) in the
+            # sample, so any sort of them gives the sample's stable presort.
+            order = np.argsort(ranks[:, rows] * n + positions, axis=1)
+            self._grow(table, X[rows], y[rows], order, rng, per_split)
         self.n_features_ = w
+        self._store(table)
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_fitted(self, "trees_")
         if self.task == "classification":
             return np.argmax(self.predict_proba(X), axis=1)
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
-        return np.mean([t.predict(X) for t in self.trees_], axis=0)
+        return self._apply(X, _tree_mean)
 
     def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "trees_")
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
-        return np.mean([t.predict_proba(X) for t in self.trees_], axis=0)
+        return self._apply(X, _tree_mean)
 
 
-class GradientBoosted(Model):
+class GradientBoosted(_TreeModel):
     """Stagewise regression trees on residuals, initialized at the mean.
 
     Prediction is mean + learning_rate * sum of stage trees, so with one
@@ -366,7 +462,7 @@ class GradientBoosted(Model):
     """
 
     method = "gbt"
-    _fitted = ("trees_", "init_", "n_features_")
+    _fitted = _TABLE + ("init_", "n_features_")
 
     def __init__(
         self,
@@ -385,7 +481,7 @@ class GradientBoosted(Model):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
-        self.trees_: list[Cart] | None = None
+        self.roots_: np.ndarray | None = None
 
     def fit(self, X, y) -> "GradientBoosted":
         X, y = self._check_fit_inputs(X, y)
@@ -394,25 +490,20 @@ class GradientBoosted(Model):
         current = np.full(len(y), self.init_)
         order = _presort(X)
         fitted = np.empty(len(y))
-        self.trees_ = []
+        table = _Table(0)
         for _ in range(self.n_stages):
-            tree = Cart(
-                task="regression",
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-            )
-            tree._grow(X, y - current, 0, order=order, fitted=fitted)
+            self._grow(table, X, y - current, order, fitted=fitted)
             current = current + self.learning_rate * fitted
-            self.trees_.append(tree)
         self.n_features_ = X.shape[1]
+        self._store(table)
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_fitted(self, "trees_")
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
-        out = np.full(len(X), self.init_)
-        for tree in self.trees_:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        return self._apply(X, self._stage_sum)
+
+    def _stage_sum(self, values: np.ndarray) -> np.ndarray:
+        """init, then each stage's step added in stage order, as in fit."""
+        steps = np.empty((len(values) + 1, values.shape[1]))
+        steps[0] = self.init_
+        np.multiply(self.learning_rate, values, out=steps[1:])
+        return np.cumsum(steps, axis=0, out=steps)[-1]

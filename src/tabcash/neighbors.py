@@ -45,16 +45,23 @@ def distances(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.sqrt(D, out=D)
 
 
-def nearest(Q: np.ndarray, X: np.ndarray, k: int, skip=None) -> np.ndarray:
+def squared_norms(X: np.ndarray) -> np.ndarray:
+    """``|x|^2`` of each row of ``X``, as ``nearest`` computes it."""
+    return np.einsum("ij,ij->i", X, X)
+
+
+def nearest(Q: np.ndarray, X: np.ndarray, k: int, skip=None, sq=None) -> np.ndarray:
     """Per query row, the ``k`` rows of ``X`` ordered by (distance, row index).
 
     Equal to ``np.argsort(distances(Q, X), axis=1, kind="stable")[:, :k]``.
     ``skip[r]``, when given, is the row of ``X`` that query row ``r`` may
-    not pick (the query row itself when ``Q`` is ``X``).
+    not pick (the query row itself when ``Q`` is ``X``). ``sq``, when
+    given, is ``squared_norms(X)``, kept by a caller that queries ``X`` often.
     """
     n, w = X.shape
     out = np.empty((len(Q), k), dtype=np.intp)
-    sq = np.einsum("ij,ij->i", X, X)
+    if sq is None:
+        sq = squared_norms(X)
     scale = sq.max() + _TINY
     chunks = min(n, 2 * k)
     step = max(1, _BLOCK_FLOATS // n)
@@ -70,7 +77,7 @@ def nearest(Q: np.ndarray, X: np.ndarray, k: int, skip=None) -> np.ndarray:
         # At least k columns lie at or below the k-th smallest chunk minimum.
         mins = np.minimum.reduceat(g, np.arange(chunks) * (n // chunks), axis=1)
         t = np.partition(mins, k - 1, axis=1)[:, k - 1]
-        E = 2 * (w + 3) * _EPS * (np.einsum("ij,ij->i", q, q) + scale)
+        E = 2 * (w + 3) * _EPS * (squared_norms(q) + scale)
         # ~(g > t + 2E) also keeps NaN values, and every column under a NaN bound.
         keep = ~(g > (t + 2 * E)[:, None])
         if skip is not None:

@@ -311,6 +311,9 @@ def load_csv(
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not header or all(h == "" for h in header):
         raise SchemaError(f"{path}: header row is empty")
+    repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if repeated is not None:
+        raise SchemaError(f"{path}: column {repeated!r} appears more than once in the header")
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:

@@ -14,6 +14,7 @@ from tabcash.cli import (
     build_parser,
     main,
 )
+from tabcash.engine import FORMAT_VERSION
 from tabcash.errors import ConfigurationError
 from tabcash.synthdata import GeneratorSpec, generate
 from tabcash.tabular import load_csv, split_dataset, write_csv
@@ -428,8 +429,8 @@ class TestPredict:
         [
             [1, 2],
             {"kind": ["pipeline"]},
-            {"kind": "pipeline", "schema_version": 2},
-            {"kind": "ensemble", "schema_version": 2},
+            {"kind": "pipeline", "schema_version": FORMAT_VERSION},
+            {"kind": "ensemble", "schema_version": FORMAT_VERSION},
         ],
         ids=["list", "list-kind", "pipeline-without-fields", "ensemble-without-fields"],
     )

@@ -180,14 +180,14 @@ class TestCart:
         tree = Cart("regression", min_samples_leaf=3).fit(X, y)
 
         def leaf_sizes(node, rows):
-            if "leaf" in node:
+            if tree.left_[node] == node:
                 return [len(rows)]
-            mask = X[rows, node["feature"]] <= node["threshold"]
-            return leaf_sizes(node["left"], rows[mask]) + leaf_sizes(
-                node["right"], rows[~mask]
+            mask = X[rows, tree.feature_[node]] <= tree.threshold_[node]
+            return leaf_sizes(tree.left_[node], rows[mask]) + leaf_sizes(
+                tree.right_[node], rows[~mask]
             )
 
-        assert min(leaf_sizes(tree.tree_, np.arange(10))) >= 3
+        assert min(leaf_sizes(tree.roots_[0], np.arange(10))) >= 3
 
 
     def test_adjacent_float_split(self):

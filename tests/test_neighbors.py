@@ -254,3 +254,16 @@ class TestKnnSearchMatchesArgsort:
         Q = rng.integers(0, 3, (25, 2)).astype(float)
         model = KNNModel("classification", k=7).fit(X, y)
         np.testing.assert_array_equal(model._neighbors(Q), stable_k(distances(Q, X), 7))
+
+    def test_knn_model_keeps_training_norms_out_of_its_state(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(50, 3)) * 1e3
+        model = KNNModel("regression", k=4).fit(X, rng.normal(size=50))
+        Q = rng.normal(size=(20, 3)) * 1e3
+        assert model._sq.tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
+        np.testing.assert_array_equal(model._neighbors(Q), nearest(Q, X, 4))
+        state = model.to_state()
+        assert list(state["fitted"]) == ["X_", "y_", "n_classes_"]
+        loaded = KNNModel.from_state(state)
+        assert loaded._sq.tobytes() == model._sq.tobytes()
+        assert loaded.predict(Q).tobytes() == model.predict(Q).tobytes()

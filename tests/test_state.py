@@ -45,10 +45,6 @@ def assert_same_fitted(a, b):
             assert vb.dtype == va.dtype and vb.shape == va.shape
             assert vb.tobytes() == va.tobytes()
             assert vb.flags.writeable
-        elif isinstance(va, list) and va and isinstance(va[0], Component):
-            assert len(va) == len(vb)
-            for ta, tb in zip(va, vb):
-                assert_same_fitted(ta, tb)
         else:
             assert va == vb
 
@@ -156,19 +152,50 @@ def test_corrupt_array_is_format_error():
         Scaler.from_state(state)
 
 
-def test_version_one_model_file_asks_for_refit(tmp_path, regression_dataset):
+def saved_pipeline(tmp_path, dataset, model):
+    """A fitted pipeline saved to ``model.json``, checked to load and predict the same."""
     methods = {"encode": "ordinal", "impute": "mean", "balance": "none",
-               "scale": "standardize", "select": "none", "model": "ridge"}
+               "scale": "standardize", "select": "none", "model": model}
     spec = PipelineSpec({s: StageChoice(m, {}) for s, m in methods.items()}, seed=0)
-    pipe = fit_pipeline_on_rows(spec, regression_dataset, np.arange(40))
+    pipe = fit_pipeline_on_rows(spec, dataset, np.arange(40))
     path = tmp_path / "model.json"
     save_pipeline(pipe, path)
-    assert np.array_equal(load_pipeline(path).predict(regression_dataset.X),
-                          pipe.predict(regression_dataset.X))
+    assert np.array_equal(load_pipeline(path).predict(dataset.X), pipe.predict(dataset.X))
+    return path
+
+
+def assert_asks_for_refit(path, version):
     payload = json.loads(path.read_text())
-    payload["schema_version"] = 1
+    payload["schema_version"] = version
     path.write_text(json.dumps(payload))
     for load in (load_pipeline, load_model):
         with pytest.raises(FormatError) as err:
             load(path)
         assert "refit" in str(err.value)
+
+
+def test_version_one_model_file_asks_for_refit(tmp_path, regression_dataset):
+    assert_asks_for_refit(saved_pipeline(tmp_path, regression_dataset, "ridge"), 1)
+
+
+@pytest.mark.parametrize("model", ["cart", "random_forest", "gbt"])
+def test_version_two_tree_model_file_asks_for_refit(tmp_path, regression_dataset, model):
+    """Version 2 stored each tree as nested dicts; version 3 stores one node table."""
+    path = saved_pipeline(tmp_path, regression_dataset, model)
+    assert "roots_" in json.loads(path.read_text())["model"]["fitted"]
+    assert_asks_for_refit(path, 2)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.left_.__setitem__(1, 0), "cycle"),
+    (lambda m: m.right_.__setitem__(0, 10**6), "out of bounds"),
+    (lambda m: m.feature_.__setitem__(0, 3), "outside the fitted width"),
+    (lambda m: setattr(m, "value_", m.value_[:-1]), "differ in length"),
+    (lambda m: setattr(m, "roots_", m.roots_[:0]), "empty"),
+], ids=["cycle", "child-out-of-range", "feature-out-of-range", "short-values", "no-tree"])
+def test_malformed_node_table_is_format_error(edit, message):
+    model = Cart("regression", max_depth=3).fit(X, Y_REG)
+    assert model.left_[0] == 1
+    edit(model)
+    with pytest.raises(FormatError, match=message):
+        Model.from_state(json.loads(json.dumps(model.to_state())))

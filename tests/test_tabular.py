@@ -63,6 +63,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("response", ["y", None])
+    def test_repeated_header_name_is_schema_error_naming_it(self, tmp_path, response):
+        path = _write(tmp_path, "a,b,a,y\n1,2,3,0\n4,5,6,1\n")
+        with pytest.raises(SchemaError, match="column 'a' appears more than once"):
+            load_csv(path, response)
+
     def test_classification_labels_reindexed(self, tmp_path):
         path = _write(tmp_path, "a,y\n1,3\n2,7\n3,3\n4,7\n")
         ds = load_csv(path, "y")

@@ -1,9 +1,11 @@
 """The presorted tree engine against a per-node, per-feature oracle.
 
 The oracle is the earlier split search: every node sorts each feature of
-its own rows with a stable sort and scans one feature at a time. Trees
-are compared as JSON, so a threshold, a leaf value or a key order that
-moves by one bit shows up.
+its own rows with a stable sort and scans one feature at a time, and
+builds nested dicts. Each fitted tree is rebuilt as nested dicts from the
+model's node table, and trees are compared as JSON, so a threshold, a leaf
+value or a key order that moves by one bit shows up. The flat,
+level-by-level predict is checked against a recursive walk of those dicts.
 """
 
 import json
@@ -13,7 +15,14 @@ import numpy as np
 import pytest
 
 from tabcash.models import Cart, GradientBoosted, RandomForest, trees
-from tabcash.models.trees import _MIN_GAIN, _leaf_payload, _node_cost
+from tabcash.models.trees import (
+    _MIN_GAIN,
+    _dense_ranks,
+    _leaf_payload,
+    _node_cost,
+    _presort,
+    _Table,
+)
 
 
 def oracle_split_feature(x, y, n_classes, min_leaf):
@@ -49,9 +58,10 @@ def oracle_split_feature(x, y, n_classes, min_leaf):
     pos = int(np.argmin(cost))
     if not np.isfinite(cost[pos]):
         return None
-    threshold = 0.5 * (xs[pos] + xs[pos + 1])
-    if not threshold < xs[pos + 1]:
-        threshold = xs[pos]
+    lo, hi = float(xs[pos]), float(xs[pos + 1])
+    threshold = 0.5 * (lo + hi)
+    if not threshold < hi:
+        threshold = lo
     return float(cost[pos]), float(threshold)
 
 
@@ -99,13 +109,33 @@ class OracleBuilder:
 
 
 def oracle_predict(node, X):
-    out = np.empty(len(X))
-    for i, x in enumerate(X):
+    """Leaf payload of each row by a recursive walk: ``(rows,)`` or ``(rows, k)``."""
+    out = []
+    for x in X:
         at = node
         while "leaf" not in at:
             at = at["left"] if x[at["feature"]] <= at["threshold"] else at["right"]
-        out[i] = at["leaf"]
-    return out
+        out.append(at["leaf"])
+    return np.array(out, dtype=float)
+
+
+def nested(model, t=0):
+    """Tree ``t`` of a fitted model's node table as the oracle's nested dicts."""
+
+    def node(i):
+        if model.left_[i] == i:
+            assert model.right_[i] == i and model.feature_[i] == -1
+            value = model.value_[i]
+            return {"leaf": value.tolist() if value.ndim else float(value)}
+        assert model.left_[i] == i + 1, "preorder: the left child follows its parent"
+        return {
+            "feature": int(model.feature_[i]),
+            "threshold": float(model.threshold_[i]),
+            "left": node(model.left_[i]),
+            "right": node(model.right_[i]),
+        }
+
+    return node(int(model.roots_[t]))
 
 
 def as_json(tree):
@@ -186,7 +216,7 @@ CART_PARAMS = [
 def test_regression_cart_matches_oracle(kind, table, params):
     for seed in range(3):
         X, y = case(table, kind, seed)
-        got = Cart("regression", **params).fit(X, y).tree_
+        got = nested(Cart("regression", **params).fit(X, y))
         want = oracle_cart(
             X, y, 0, params.get("max_depth"), params.get("min_samples_split", 2),
             params.get("min_samples_leaf", 1),
@@ -201,7 +231,7 @@ def test_classification_cart_matches_oracle(kind, table, params):
     for seed in range(3):
         X, y = case(table, kind, seed)
         k = 3 if kind == "three" else 2
-        got = Cart("classification", **params).fit(X, y, n_classes=k).tree_
+        got = nested(Cart("classification", **params).fit(X, y, n_classes=k))
         want = oracle_cart(
             X, y, k, params.get("max_depth"), params.get("min_samples_split", 2),
             params.get("min_samples_leaf", 1),
@@ -218,11 +248,12 @@ def test_forest_trees_match_oracle(kind, table, min_leaf):
     forest = RandomForest(task, n_trees=4, min_samples_leaf=min_leaf, seed=11)
     forest.fit(X, y, n_classes=k or None)
     per_split = math.ceil(math.sqrt(X.shape[1]))
-    for t, tree in enumerate(forest.trees_):
+    assert len(forest.roots_) == 4
+    for t in range(4):
         rng = np.random.default_rng(11 + t)
         rows = rng.integers(0, len(X), len(X))
         builder = OracleBuilder(k, None, 2, min_leaf, per_split, rng)
-        assert as_json(tree.tree_) == as_json(builder.build(X[rows], y[rows]))
+        assert as_json(nested(forest, t)) == as_json(builder.build(X[rows], y[rows]))
 
 
 @pytest.mark.parametrize("table", sorted(TABLES))
@@ -234,9 +265,10 @@ def test_boosted_trees_match_oracle(kind, table, depth, min_leaf):
         n_stages=6, learning_rate=0.3, max_depth=depth, min_samples_leaf=min_leaf
     ).fit(X, y)
     current = np.full(len(y), y.mean())
-    for tree in gbt.trees_:
+    assert len(gbt.roots_) == 6
+    for t in range(6):
         want = OracleBuilder(0, depth, 2, min_leaf).build(X, y - current)
-        assert as_json(tree.tree_) == as_json(want)
+        assert as_json(nested(gbt, t)) == as_json(want)
         current = current + 0.3 * oracle_predict(want, X)
     assert np.array_equal(gbt.predict(X), current)
 
@@ -249,7 +281,7 @@ def test_scan_blocks_keep_the_first_feature(kind, block, monkeypatch):
     X, y = case("onehot", kind, 12, n=900)
     X = np.column_stack([X, X[:, ::-1]])
     k = 3 if kind == "three" else 0
-    got = Cart("classification" if k else "regression", max_depth=6).fit(X, y).tree_
+    got = nested(Cart("classification" if k else "regression", max_depth=6).fit(X, y))
     assert as_json(got) == as_json(oracle_cart(X, y, k, 6))
 
 
@@ -258,9 +290,13 @@ def test_boosted_training_values_are_predictions():
     X, y = case("grid", "residual", 8)
     order = np.argsort(X.T, axis=1, kind="stable")
     fitted = np.full(len(y), np.nan)
-    tree = Cart("regression", max_depth=4)._grow(X, y, 0, order=order, fitted=fitted)
+    tree = Cart("regression", max_depth=4)
+    table = _Table(0)
+    tree._grow(table, X, y, order, fitted=fitted)
+    tree.n_features_ = X.shape[1]
+    tree._store(table)
     assert np.array_equal(fitted, tree.predict(X))
-    assert np.array_equal(fitted, oracle_predict(tree.tree_, X))
+    assert np.array_equal(fitted, oracle_predict(nested(tree), X))
 
 
 def test_empty_branches_predict_like_full_batch():
@@ -270,3 +306,124 @@ def test_empty_branches_predict_like_full_batch():
     rows = np.array([tree.predict(X[i : i + 1])[0] for i in range(len(X))])
     assert np.array_equal(whole, rows)
     assert tree.predict(X[:0]).shape == (0,)
+
+
+def ties_X(rng, n):
+    """Few distinct values per column, with signed zeros and infinities."""
+    return np.column_stack(
+        [
+            rng.integers(0, 3, n),
+            rng.choice([-0.0, 0.0, 1.0], n),
+            rng.choice([-np.inf, 0.5, np.inf], n),
+            np.full(n, 2.0),
+            rng.normal(size=n).round(1),
+        ]
+    ).astype(float)
+
+
+def test_dense_ranks_order_cells_as_their_values():
+    X = ties_X(np.random.default_rng(4), 300)
+    ranks = _dense_ranks(X)
+    for j in range(X.shape[1]):
+        r, x = ranks[j], X[:, j]
+        assert np.array_equal(r[:, None] < r[None, :], x[:, None] < x[None, :])
+        assert np.array_equal(r[:, None] == r[None, :], x[:, None] == x[None, :])
+        assert r.min() == 0 and r.max() == len(np.unique(x)) - 1
+
+
+@pytest.mark.parametrize("kind", ["residual", "three"])
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_bootstrap_forest_on_tied_columns_matches_oracle(kind, min_leaf):
+    """A bootstrap repeats rows, so every sample column has ties to order by position."""
+    rng = np.random.default_rng(6)
+    X = ties_X(rng, 240)
+    finite = np.where(np.isfinite(X), X, 0.0)
+    y = response(rng, kind, finite) if kind == "three" else finite[:, 0] - finite[:, 4]
+    task, k = ("classification", 3) if kind == "three" else ("regression", 0)
+    forest = RandomForest(task, n_trees=5, min_samples_leaf=min_leaf, seed=3)
+    forest.fit(X, y, n_classes=k or None)
+    per_split = math.ceil(math.sqrt(X.shape[1]))
+    for t in range(5):
+        rng = np.random.default_rng(3 + t)
+        rows = rng.integers(0, len(X), len(X))
+        assert np.array_equal(
+            np.argsort(_dense_ranks(X)[:, rows] * len(X) + np.arange(len(X)), axis=1),
+            _presort(X[rows]),
+        )
+        builder = OracleBuilder(k, None, 2, min_leaf, per_split, rng)
+        assert as_json(nested(forest, t)) == as_json(builder.build(X[rows], y[rows]))
+
+
+def oracle_leaves(model, t, Q):
+    return oracle_predict(nested(model, t), Q).reshape(
+        (len(Q),) + model.value_.shape[1:]
+    )
+
+
+def served_rows(X, rng):
+    """Training rows, fresh rows, and cells at plus and minus infinity."""
+    fresh = rng.normal(size=(30, X.shape[1])) * 2
+    fresh[::3, 0] = np.inf
+    fresh[1::3, -1] = -np.inf
+    fresh[2::5] = np.inf
+    return np.vstack([X[:40], fresh])
+
+
+QUERIES = {"none": slice(0, 0), "one": slice(0, 1), "one-inf": slice(42, 43),
+           "batch": slice(None)}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("kind", ["residual", "binary", "three"])
+def test_flat_predict_matches_recursive_walk(kind, query):
+    X, y = case("continuous", kind, 13)
+    Q = served_rows(X, np.random.default_rng(2))[QUERIES[query]]
+    k = {"binary": 2, "three": 3}.get(kind, 0)
+    task = "classification" if k else "regression"
+    cart = Cart(task, max_depth=7, min_samples_leaf=2).fit(X, y, n_classes=k or None)
+    forest = RandomForest(task, n_trees=6, max_depth=5, seed=4).fit(X, y, n_classes=k or None)
+    want_cart = oracle_leaves(cart, 0, Q)
+    want_forest = np.mean([oracle_leaves(forest, t, Q) for t in range(6)], axis=0)
+    for model, want in ((cart, want_cart), (forest, want_forest)):
+        if k:
+            assert model.predict_proba(Q).tobytes() == want.tobytes()
+            assert np.array_equal(model.predict(Q), np.argmax(want, axis=1))
+        else:
+            assert model.predict(Q).tobytes() == want.tobytes()
+    if not k:
+        gbt = GradientBoosted(n_stages=12, learning_rate=0.2, max_depth=3).fit(X, y)
+        want = np.full(len(Q), gbt.init_)
+        for t in range(12):
+            want += 0.2 * oracle_leaves(gbt, t, Q)
+        assert gbt.predict(Q).tobytes() == want.tobytes()
+
+
+def test_single_leaf_trees_predict_without_columns():
+    """A tree with no split walks no level, so even a table without columns predicts."""
+    X = np.empty((5, 0))
+    y = np.arange(5.0)
+    for model in (Cart(), RandomForest(n_trees=3), GradientBoosted(n_stages=2)):
+        assert model.fit(X, y)._levels == 0
+        assert model.predict(X).shape == (5,)
+
+
+@pytest.mark.parametrize("walk", [9, 30, 100])
+def test_row_blocks_do_not_change_predictions(walk, monkeypatch):
+    """Nine trees: a lone row's tree values are summed pairwise, a block's in tree order."""
+    X, y = case("continuous", "residual", 14)
+    Xc, yc = case("continuous", "three", 14)
+    models = [
+        (RandomForest(n_trees=9, max_depth=4, seed=1).fit(X, y), X, "predict"),
+        (RandomForest("classification", n_trees=9, seed=1).fit(Xc, yc), Xc, "predict_proba"),
+        (GradientBoosted(n_stages=9, max_depth=2).fit(X, y), X, "predict"),
+        (Cart(max_depth=6).fit(X, y), X, "predict"),
+    ]
+    counts = [0, 1, 2, 3, 4, 5, 11, 12, 13, 60]
+    whole = [[getattr(m, name)(Q[:n]) for n in counts] for m, Q, name in models]
+    monkeypatch.setattr(trees, "_WALK", walk)
+    for (m, Q, name), want in zip(models, whole):
+        for n, w in zip(counts, want):
+            got = getattr(m, name)(Q[:n])
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
+            if n >= 2:
+                assert got.tobytes() == getattr(m, name)(Q)[:n].tobytes()
