@@ -1,15 +1,34 @@
 """Native model zoo: every model is fit/predict with frozen trained state.
 
 Classifiers additionally expose ``predict_proba`` returning a row-stochastic
-(n_rows, n_classes) table. ``make_model`` is the single construction point
-used by the search engine; ``Model.from_state`` restores a serialized model.
+(n_rows, n_classes) table; a regressor's raises ``ConfigurationError``.
+``make_model`` is the single construction point used by the search engine;
+``Model.from_state`` restores a serialized model.
+
+To add a model, subclass ``Model``:
+
+- set ``method``, and ``_fitted``, the fitted attributes that ``model.json``
+  stores (the first one marks a fitted model);
+- set ``task`` as a class attribute, or take it as a parameter and store
+  ``check_task(task)``;
+- define the class's own ``fit``, starting with ``self._fit_inputs``, which
+  checks the inputs, codes class labels and sets ``n_features_`` and
+  ``n_classes_``;
+- define its own ``predict`` (and a classifier's ``predict_proba``),
+  starting with ``self._inputs``, which checks that the model is fitted and
+  that ``X`` has no NaN and the fitted width.
+
+Each class defines these methods itself, even where a parent's would do:
+``bench/tracing.py`` times each model family by wrapping the ``fit``,
+``predict`` and ``predict_proba`` in that class's own namespace, and a
+class without its own ``fit`` cannot be traced.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigurationError
 from .linear import LogisticModel, PoissonGLM, RidgeRegression
-from .simple import DummyModel, KNNModel, Model
+from .simple import DummyModel, KNNModel, Model, check_task
 from .trees import Cart, GradientBoosted, RandomForest
 
 REGRESSION_MODELS = ("dummy", "ridge", "poisson_glm", "knn", "cart", "random_forest", "gbt")
@@ -27,20 +46,16 @@ _CLASSES = {
     "gbt": GradientBoosted,
 }
 
-_TASK_FREE = ("ridge", "poisson_glm", "logistic", "gbt")
-
 
 def make_model(method: str, task: str, **params) -> Model:
     """Build a model for ``task`` in {'regression', 'classification'}."""
-    if task not in ("regression", "classification"):
-        raise ConfigurationError(f"unknown model task {task!r}")
-    menu = REGRESSION_MODELS if task == "regression" else CLASSIFICATION_MODELS
+    menu = REGRESSION_MODELS if check_task(task) == "regression" else CLASSIFICATION_MODELS
     if method not in menu:
         raise ConfigurationError(f"model {method!r} does not support {task} tasks")
     cls = _CLASSES[method]
-    if method in _TASK_FREE:
-        return cls(**params)
-    return cls(task=task, **params)
+    if "task" in cls._param_names():
+        return cls(task=task, **params)
+    return cls(**params)
 
 
 __all__ = [

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import as_float_vector, check_fitted, check_matching_width
+from ..base import as_float_vector
 from ..errors import ConfigurationError, FitError, TaskError
 from ..metrics import poisson_deviance_terms
-from .simple import Model, _resolve_n_classes
+from .simple import Model
 
 _ETA_CLIP = 30.0
 
@@ -26,11 +26,9 @@ class RidgeRegression(Model):
         if alpha < 0:
             raise ConfigurationError("alpha must be nonnegative")
         self.alpha = alpha
-        self.coef_: np.ndarray | None = None
 
     def fit(self, X, y) -> "RidgeRegression":
-        X, y = self._check_fit_inputs(X, y)
-        y = as_float_vector(y)
+        X, y = self._fit_inputs(X, y)
         A = _with_intercept(X)
         penalty = np.full(A.shape[1], self.alpha)
         penalty[0] = 0.0
@@ -40,14 +38,10 @@ class RidgeRegression(Model):
             raise FitError(
                 "singular normal equations; retry with alpha > 0"
             ) from None
-        self.n_features_ = X.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_fitted(self, "coef_")
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
-        return _with_intercept(X) @ self.coef_
+        return _with_intercept(self._inputs(X)) @ self.coef_
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -94,7 +88,7 @@ class LogisticModel(Model):
     """
 
     method = "logistic"
-    is_classifier = True
+    task = "classification"
     _fitted = ("coef_", "n_classes_", "n_features_")
 
     def __init__(self, alpha: float = 1e-4, max_iter: int = 500, tol: float = 1e-6):
@@ -103,13 +97,9 @@ class LogisticModel(Model):
         self.alpha = alpha
         self.max_iter = max_iter
         self.tol = tol
-        self.coef_: np.ndarray | None = None
 
     def fit(self, X, y, n_classes: int | None = None) -> "LogisticModel":
-        X, y = self._check_fit_inputs(X, y)
-        y = y.astype(int)
-        self.n_classes_ = _resolve_n_classes(y, n_classes)
-        self.n_features_ = X.shape[1]
+        X, y = self._fit_inputs(X, y, n_classes)
         A = _with_intercept(X)
         if self.n_classes_ == 2:
             w = _fit_binary_logistic(A, (y == 1).astype(float), self.alpha, self.max_iter, self.tol)
@@ -123,10 +113,7 @@ class LogisticModel(Model):
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "coef_")
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
-        A = _with_intercept(X)
+        A = _with_intercept(self._inputs(X))
         if self.n_classes_ == 2:
             p1 = _sigmoid(A @ self.coef_[0])
             return np.column_stack([1.0 - p1, p1])
@@ -162,11 +149,9 @@ class PoissonGLM(Model):
             raise ConfigurationError("max_iter must be at least 1")
         self.max_iter = max_iter
         self.tol = tol
-        self.coef_: np.ndarray | None = None
 
     def fit(self, X, y, offset=None) -> "PoissonGLM":
-        X, y = self._check_fit_inputs(X, y)
-        y = as_float_vector(y)
+        X, y = self._fit_inputs(X, y)
         if (y < 0).any() or (y != np.round(y)).any():
             raise TaskError("count regression requires nonnegative integer responses")
         off = np.zeros(len(y)) if offset is None else as_float_vector(offset, "offset")
@@ -204,13 +189,10 @@ class PoissonGLM(Model):
             if converged:
                 break
         self.coef_ = beta
-        self.n_features_ = X.shape[1]
         return self
 
     def predict(self, X, offset=None) -> np.ndarray:
-        check_fitted(self, "coef_")
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
+        X = self._inputs(X)
         off = np.zeros(len(X)) if offset is None else as_float_vector(offset, "offset")
         eta = np.clip(_with_intercept(X) @ self.coef_ + off, -_ETA_CLIP, _ETA_CLIP)
         return np.exp(eta)

@@ -31,7 +31,10 @@ and both children pointing to itself, so ``_walk`` can move every tree
 and every row at once, one level per step, for as many steps as the
 deepest tree has levels: a row that reaches a leaf early stays on it.
 A split's value is zero and never read. Rows are walked in blocks of
-about ``_WALK`` (tree, row) pairs, so memory stays flat.
+about ``_WALK`` (tree, row) pairs, so memory stays flat. A forest sums
+its trees and boosting its stages in tree order, by ``cumsum``, so a
+row's prediction does not depend on the block that holds it, a block of
+one row included.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ import math
 
 import numpy as np
 
-from ..base import as_float_vector, check_fitted, check_matching_width
 from ..errors import ConfigurationError
-from .simple import Model, _resolve_n_classes
+from .simple import Model, check_task
 
 _MIN_GAIN = 1e-12
 _BLOCK = 1 << 12
@@ -238,6 +240,15 @@ _TABLE = ("roots_", "feature_", "threshold_", "left_", "right_", "value_")
 class _TreeModel(Model):
     """A model whose fitted trees are one node table (see the module docstring)."""
 
+    def __init__(self, max_depth: int | None, min_samples_split: int, min_samples_leaf: int):
+        if min_samples_split < 2 or min_samples_leaf < 1:
+            raise ConfigurationError("invalid split/leaf minimums")
+        if max_depth is not None and max_depth < 0:
+            raise ConfigurationError("max_depth must be nonnegative")
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        self.min_samples_leaf = min_samples_leaf
+
     def _grow(self, table: _Table, X, y, order, rng=None, feature_sample=None,
               fitted=None) -> None:
         """Append one tree fitted on checked inputs; ``order`` is the presort of ``X``."""
@@ -289,22 +300,14 @@ class _TreeModel(Model):
         self._feature = np.maximum(self.feature_, 0).astype(np.intp)
 
     def _apply(self, X, reduce) -> np.ndarray:
-        """``reduce`` of the leaf values of every tree, one block of rows at a time.
+        """``reduce`` of the leaf values of every tree, one block of checked rows at a time.
 
         ``reduce`` maps the ``(trees, rows)`` or ``(trees, rows, k)`` leaf
-        values of a block to one result per row. A block has two rows or
-        more unless ``X`` has one: numpy sums the ``(trees, 1)`` values of a
-        lone row pairwise, and those of a block in tree order, and a row's
-        result must not depend on how ``X`` is cut.
+        values of a block to one result per row, the same whatever block
+        holds the row.
         """
-        check_fitted(self, "roots_")
-        X = self._check_X(X)
-        check_matching_width(X, self.n_features_)
-        step = max(2, _WALK // len(self.roots_))
-        parts, start = [], 0
-        for stop in [*range(step, len(X) - 1, step), len(X)]:
-            parts.append(reduce(self._walk(X[start:stop])))
-            start = stop
+        step = max(1, _WALK // len(self.roots_))
+        parts = [reduce(self._walk(X[i : i + step])) for i in range(0, max(len(X), 1), step)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _walk(self, X: np.ndarray) -> np.ndarray:
@@ -324,7 +327,8 @@ def _only_tree(values: np.ndarray) -> np.ndarray:
 
 
 def _tree_mean(values: np.ndarray) -> np.ndarray:
-    return values.mean(axis=0)
+    """Mean over trees summed in tree order (``mean`` sums a lone row's values pairwise)."""
+    return np.cumsum(values, axis=0, out=values)[-1] / len(values)
 
 
 class Cart(_TreeModel):
@@ -340,43 +344,23 @@ class Cart(_TreeModel):
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
     ):
-        if task not in ("regression", "classification"):
-            raise ConfigurationError(f"unknown task {task!r}")
-        if min_samples_split < 2 or min_samples_leaf < 1:
-            raise ConfigurationError("invalid split/leaf minimums")
-        if max_depth is not None and max_depth < 0:
-            raise ConfigurationError("max_depth must be nonnegative")
-        self.task = task
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.roots_: np.ndarray | None = None
-
-    @property
-    def is_classifier(self) -> bool:
-        return self.task == "classification"
+        super().__init__(max_depth, min_samples_split, min_samples_leaf)
+        self.task = check_task(task)
 
     def fit(self, X, y, n_classes: int | None = None) -> "Cart":
-        X, y = self._check_fit_inputs(X, y)
-        if self.task == "classification":
-            y = y.astype(int)
-            self.n_classes_ = _resolve_n_classes(y, n_classes)
-        else:
-            y = as_float_vector(y)
-            self.n_classes_ = 0
+        X, y = self._fit_inputs(X, y, n_classes)
         table = _Table(self.n_classes_)
         self._grow(table, X, y, _presort(X))
-        self.n_features_ = X.shape[1]
         self._store(table)
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.task == "classification":
+        if self.is_classifier:
             return np.argmax(self.predict_proba(X), axis=1)
-        return self._apply(X, _only_tree)
+        return self._apply(self._inputs(X), _only_tree)
 
     def predict_proba(self, X) -> np.ndarray:
-        return self._apply(X, _only_tree)
+        return self._apply(self._inputs(X, proba=True), _only_tree)
 
 
 class RandomForest(_TreeModel):
@@ -401,32 +385,17 @@ class RandomForest(_TreeModel):
         feature_subsample: bool = True,
         seed: int = 0,
     ):
-        if task not in ("regression", "classification"):
-            raise ConfigurationError(f"unknown task {task!r}")
+        super().__init__(max_depth, min_samples_split, min_samples_leaf)
         if n_trees < 1:
             raise ConfigurationError("n_trees must be at least 1")
-        self.task = task
+        self.task = check_task(task)
         self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
         self.bootstrap = bootstrap
         self.feature_subsample = feature_subsample
         self.seed = seed
-        self.roots_: np.ndarray | None = None
-
-    @property
-    def is_classifier(self) -> bool:
-        return self.task == "classification"
 
     def fit(self, X, y, n_classes: int | None = None) -> "RandomForest":
-        X, y = self._check_fit_inputs(X, y)
-        if self.task == "classification":
-            y = y.astype(int)
-            self.n_classes_ = _resolve_n_classes(y, n_classes)
-        else:
-            y = as_float_vector(y)
-            self.n_classes_ = 0
+        X, y = self._fit_inputs(X, y, n_classes)
         n, w = X.shape
         per_split = max(1, math.ceil(math.sqrt(w))) if self.feature_subsample else None
         ranks = _dense_ranks(X)
@@ -439,17 +408,16 @@ class RandomForest(_TreeModel):
             # sample, so any sort of them gives the sample's stable presort.
             order = np.argsort(ranks[:, rows] * n + positions, axis=1)
             self._grow(table, X[rows], y[rows], order, rng, per_split)
-        self.n_features_ = w
         self._store(table)
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.task == "classification":
+        if self.is_classifier:
             return np.argmax(self.predict_proba(X), axis=1)
-        return self._apply(X, _tree_mean)
+        return self._apply(self._inputs(X), _tree_mean)
 
     def predict_proba(self, X) -> np.ndarray:
-        return self._apply(X, _tree_mean)
+        return self._apply(self._inputs(X, proba=True), _tree_mean)
 
 
 class GradientBoosted(_TreeModel):
@@ -472,20 +440,16 @@ class GradientBoosted(_TreeModel):
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
     ):
+        super().__init__(max_depth, min_samples_split, min_samples_leaf)
         if n_stages < 1:
             raise ConfigurationError("n_stages must be at least 1")
         if not 0 < learning_rate <= 1:
             raise ConfigurationError("learning_rate must be in (0, 1]")
         self.n_stages = n_stages
         self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.roots_: np.ndarray | None = None
 
     def fit(self, X, y) -> "GradientBoosted":
-        X, y = self._check_fit_inputs(X, y)
-        y = as_float_vector(y)
+        X, y = self._fit_inputs(X, y)
         self.init_ = float(y.mean())
         current = np.full(len(y), self.init_)
         order = _presort(X)
@@ -494,12 +458,11 @@ class GradientBoosted(_TreeModel):
         for _ in range(self.n_stages):
             self._grow(table, X, y - current, order, fitted=fitted)
             current = current + self.learning_rate * fitted
-        self.n_features_ = X.shape[1]
         self._store(table)
         return self
 
     def predict(self, X) -> np.ndarray:
-        return self._apply(X, self._stage_sum)
+        return self._apply(self._inputs(X), self._stage_sum)
 
     def _stage_sum(self, values: np.ndarray) -> np.ndarray:
         """init, then each stage's step added in stage order, as in fit."""

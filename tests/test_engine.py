@@ -66,6 +66,20 @@ class TestEvaluate:
         assert record.status == "failed"
         assert "alpha" in record.reason or "nonnegative" in record.reason
 
+    @pytest.mark.parametrize(
+        "model,params,words",
+        [
+            ("random_forest", {"max_depth": -2}, "max_depth must be nonnegative"),
+            ("gbt", {"max_depth": -1}, "max_depth must be nonnegative"),
+            ("gbt", {"min_samples_leaf": 0}, "invalid split/leaf minimums"),
+        ],
+    )
+    def test_bad_tree_parameters_fail_the_trial(self, regression_dataset, model, params, words):
+        spec = plain_spec(model=model, model_params=params)
+        record = evaluate(spec, regression_dataset, None, get_metric("mse"))
+        assert record.status == "failed"
+        assert words in record.reason
+
     def test_kfold_mean_and_refit(self, regression_dataset):
         from tabcash.tabular import make_folds
 

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tabcash.errors import FitError, TaskError
+from tabcash import models
+from tabcash.errors import ConfigurationError, ContractError, FitError, FormatError, TaskError
 from tabcash.models import (
+    CLASSIFICATION_MODELS,
+    REGRESSION_MODELS,
     Cart,
     DummyModel,
     GradientBoosted,
@@ -316,3 +319,66 @@ class TestFactoryAndSerialization:
         assert np.array_equal(clone.predict(X), model.predict(X))
         if task == "classification":
             assert np.array_equal(clone.predict_proba(X), model.predict_proba(X))
+
+
+CONTRACT_CASES = [
+    pytest.param(method, task, id=f"{method}-{task}")
+    for method in sorted(models._CLASSES)
+    for task, menu in (("regression", REGRESSION_MODELS), ("classification", CLASSIFICATION_MODELS))
+    if method in menu
+]
+
+
+@pytest.mark.parametrize("method,task", CONTRACT_CASES)
+def test_every_model_keeps_the_contract(method, task):
+    cls = models._CLASSES[method]
+    assert "fit" in cls.__dict__
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 3))
+    if task == "classification":
+        y = rng.integers(0, 3, 30)
+    else:
+        y = rng.poisson(2.0, 30).astype(float)
+    holed = X.copy()
+    holed[4, 1] = np.nan
+    model = make_model(method, task)
+    assert model.is_classifier == (task == "classification")
+    scorers = ("predict", "predict_proba") if model.is_classifier else ("predict",)
+    for name in scorers:
+        with pytest.raises(ContractError, match="before fit"):
+            getattr(model, name)(X)
+    with pytest.raises(ContractError, match="missing values"):
+        model.fit(holed, y)
+    with pytest.raises(ConfigurationError, match="row counts differ"):
+        model.fit(X, y[:-1])
+    with pytest.raises(ConfigurationError, match="empty"):
+        model.fit(X[:0], y[:0])
+    model.fit(X, y)
+    for name in scorers:
+        with pytest.raises(ContractError, match="missing values"):
+            getattr(model, name)(holed)
+        with pytest.raises(ContractError, match="fitted on 3"):
+            getattr(model, name)(X[:, :2])
+    if not model.is_classifier:
+        with pytest.raises(ConfigurationError, match="has no probabilities"):
+            model.predict_proba(X)
+    with pytest.raises(ConfigurationError, match="unknown task"):
+        make_model(method, "ranking")
+    if "task" in cls._param_names():
+        with pytest.raises(ConfigurationError, match="unknown task"):
+            cls(task="ranking")
+
+
+@pytest.mark.parametrize("cls", [Cart, RandomForest, GradientBoosted])
+@pytest.mark.parametrize(
+    "params",
+    [{"min_samples_split": 1}, {"min_samples_leaf": 0}, {"max_depth": -1}, {"max_depth": -2}],
+)
+def test_tree_models_reject_bad_tree_parameters(cls, params):
+    with pytest.raises(ConfigurationError):
+        cls(**params)
+    X, y, _ = linear_data(n=30)
+    state = cls(max_depth=2).fit(X, y).to_state()
+    state["params"].update(params)
+    with pytest.raises(FormatError):
+        Model.from_state(state)

@@ -409,7 +409,7 @@ def test_single_leaf_trees_predict_without_columns():
 
 @pytest.mark.parametrize("walk", [9, 30, 100])
 def test_row_blocks_do_not_change_predictions(walk, monkeypatch):
-    """Nine trees: a lone row's tree values are summed pairwise, a block's in tree order."""
+    """Nine trees, whose values numpy's ``mean`` would sum pairwise for a lone row."""
     X, y = case("continuous", "residual", 14)
     Xc, yc = case("continuous", "three", 14)
     models = [
@@ -425,5 +425,7 @@ def test_row_blocks_do_not_change_predictions(walk, monkeypatch):
         for n, w in zip(counts, want):
             got = getattr(m, name)(Q[:n])
             assert got.shape == w.shape and got.tobytes() == w.tobytes()
-            if n >= 2:
+            if n:
                 assert got.tobytes() == getattr(m, name)(Q)[:n].tobytes()
+        lone = np.concatenate([getattr(m, name)(Q[i : i + 1]) for i in range(len(Q))])
+        assert lone.tobytes() == getattr(m, name)(Q).tobytes()
