@@ -72,11 +72,17 @@ class Component:
         return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
+        """Set constructor parameters, checked as the constructor checks them.
+
+        A rejected value raises and leaves the component unchanged.
+        """
+        names = self._param_names()
+        for name in params:
+            if name not in names:
                 raise ContractError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
+        checked = type(self)(**{**self.get_params(), **params})
+        for name in names:
+            setattr(self, name, getattr(checked, name))
         return self
 
     def to_state(self) -> dict:

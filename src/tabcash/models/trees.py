@@ -16,16 +16,33 @@ rule is fixed down to its ties:
   values sum the same arrays in the same order on every path.
 
 A feature with no allowed split (all values equal, or none leaving
-``min_samples_leaf`` rows per side) is skipped. The candidate features of
-a node are scored together, in blocks of at most ``_BLOCK`` sorted values
-(one feature per block on large nodes) so memory stays flat; the rule
-above makes the tree independent of the blocking.
+``min_samples_leaf`` rows per side) is skipped.
+
+Every tree grows one level at a time (breadth first, as in SLIQ), by one
+grower for CART, forests and boosting. The nodes of a level own
+consecutive ranges of one array with a row per column and one for the
+rows themselves, and one stable partition of that array makes the next
+level: the left children's ranges, then the right children's. All the
+(node, feature) rows a level scans are scored together, longest first, in
+blocks of at most ``_BLOCK`` values, each row padded with zeros to the
+longest of its block. A zero-padded ``cumsum`` equals each row's own
+``cumsum`` bit for bit, but a padded pairwise ``sum`` does not, so the
+totals of a row, the costs of nodes and the values of leaves are summed
+over each node's unpadded slice. The tree is therefore the depth-first
+tree, node for node, whatever the blocking.
+
+Forests sample features by level: after its bootstrap draw, each tree
+draws ``rng.random((nodes, w))`` per level from its own generator, one row
+per node of the level in level order (parents in level order, a left
+child before its right). A node's candidate features are the sorted first
+``feature_sample`` columns of its row's stable argsort.
 
 A fitted model keeps all its trees in one node table of parallel arrays,
 one entry per node: ``feature_``, ``threshold_``, ``left_``, ``right_``
 and ``value_`` (``(nodes,)`` for regression, ``(nodes, n_classes)`` for
 classification), plus ``roots_``, the root of each tree. Each tree's
-nodes are stored in preorder. A row at a split goes left when
+nodes are stored in level order; predict reads a table in any order, so
+tables stored in preorder still load. A row at a split goes left when
 ``X[row, feature] <= threshold``. A leaf has feature -1, threshold NaN
 and both children pointing to itself, so ``_walk`` can move every tree
 and every row at once, one level per step, for as many steps as the
@@ -47,24 +64,9 @@ from ..errors import ConfigurationError
 from .simple import Model, check_task
 
 _MIN_GAIN = 1e-12
-_BLOCK = 1 << 12
+_BLOCK = 1 << 13
+_PAD = 64  # most padding per row of a scan block
 _WALK = 1 << 16  # (tree, row) pairs walked at once
-
-
-def _leaf_payload(y: np.ndarray, n_classes: int):
-    if n_classes:
-        counts = np.bincount(y.astype(int), minlength=n_classes).astype(float)
-        return (counts / counts.sum()).tolist()
-    return float(y.mean())
-
-
-def _node_cost(y: np.ndarray, n_classes: int) -> float:
-    n = len(y)
-    if n_classes:
-        counts = np.bincount(y.astype(int), minlength=n_classes).astype(float)
-        return n - float((counts * counts).sum()) / n
-    s = float(y.sum())
-    return float((y * y).sum()) - s * s / n
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
@@ -83,18 +85,70 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _split_costs(xs: np.ndarray, ys: np.ndarray, n_classes: int, min_leaf: int) -> np.ndarray:
-    """Cost of a split after each position of each sorted row; inf where none is allowed."""
-    n = xs.shape[1]
-    left_n = np.arange(1, n, dtype=float)
-    right_n = n - left_n
+def _level_stats(y: np.ndarray, sizes: np.ndarray, scored: np.ndarray, n_classes: int):
+    """Impurity and leaf value of each node of a level.
+
+    ``y`` holds the nodes' targets back to back, each node's in ascending
+    row order. A regression node's totals are numpy's pairwise sums of its
+    own slice, as if it stood alone, and its impurity is 0 unless it is
+    ``scored``; class counts are exact in any order.
+    """
     if n_classes:
-        left_sq = np.zeros((len(xs), n - 1))
+        node = np.repeat(np.arange(len(sizes)), sizes)
+        counts = np.bincount(node * n_classes + y, minlength=len(sizes) * n_classes)
+        counts = counts.reshape(-1, n_classes).astype(float)
+        return sizes - (counts * counts).sum(axis=1) / sizes, counts / sizes[:, None]
+    ends = sizes.cumsum().tolist()
+    nodes = list(zip([0] + ends[:-1], ends, scored.tolist()))
+    s = np.array([np.add.reduce(y[a:b]) for a, b, _ in nodes])
+    sq = y * y
+    s2 = np.array([np.add.reduce(sq[a:b]) if c else 0.0 for a, b, c in nodes])
+    return np.where(scored, s2 - s * s / sizes, 0.0), s / sizes
+
+
+def _row_sums(sizes: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Sum of the first ``sizes[i]`` values of row ``i`` of each array, as numpy sums that slice alone.
+
+    A padded row's pairwise sum differs from the unpadded one, so each run
+    of rows of one length is summed over that length only.
+    """
+    sums = [np.empty(len(sizes)) for _ in arrays]
+    cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]
+    for start, end in zip(cuts[:-1], cuts[1:]):
+        for a, out in zip(arrays, sums):
+            np.add.reduce(a[start:end, : sizes[start]], axis=1, out=out[start:end])
+    return sums
+
+
+def _split_costs(xs: np.ndarray, ys: np.ndarray, sizes, n_classes: int,
+                 min_leaf: int) -> np.ndarray:
+    """Cost of a split after each position of each sorted row; inf where none is allowed.
+
+    Column ``j`` is the split after position ``j + min_leaf - 1``: positions
+    before it, or past the last ``min_leaf`` of the longest row, leave a
+    side too small and are not scored. ``sizes`` is None when every row is
+    full. Otherwise row ``i`` holds ``sizes[i]`` values, then padding:
+    ``xs`` repeats the row's last value, so ties block every split past its
+    end, and ``ys`` is 0 for regression and -1 for classes. Trailing zeros
+    change no earlier prefix of a ``cumsum``, so the costs before the
+    padding are the unpadded row's, bit for bit.
+    """
+    n = xs.shape[1]
+    first, stop = min_leaf - 1, n - min_leaf
+    left_n = np.arange(min_leaf, stop + 1, dtype=float)
+    padded = sizes is not None
+    if padded:
+        # Below 1 only past a row's end, where ties block every split.
+        right_n = np.maximum(sizes[:, None] - left_n, 1)
+    else:
+        right_n = n - left_n
+    if n_classes:
+        left_sq = np.zeros((len(xs), stop - first))
         right_sq = np.zeros_like(left_sq)
         for c in range(n_classes):
-            cum = np.cumsum(ys == c, axis=1)
-            right = cum[:, -1:] - cum[:, :-1]
-            cum = cum[:, :-1]
+            cum = (ys == c).cumsum(axis=1)
+            right = cum[:, -1:] - cum[:, first:stop]
+            cum = cum[:, first:stop]
             cum *= cum
             left_sq += cum
             right *= right
@@ -106,11 +160,11 @@ def _split_costs(xs: np.ndarray, ys: np.ndarray, n_classes: int, min_leaf: int) 
     else:
         # (cs2 - cs**2 / left_n) + ((total_s2 - cs2) - (total_s - cs)**2 / right_n)
         sq = ys * ys
-        total_s = ys.sum(axis=1)[:, None]
-        total_s2 = sq.sum(axis=1)[:, None]
-        cs = np.cumsum(ys, axis=1)[:, :-1]
-        cs2 = np.cumsum(sq, axis=1)[:, :-1]
-        cost = np.multiply(cs, cs, out=sq[:, :-1])
+        totals = _row_sums(sizes, ys, sq) if padded else [np.add.reduce(v, axis=1) for v in (ys, sq)]
+        total_s, total_s2 = (total[:, None] for total in totals)
+        cs = ys.cumsum(axis=1)[:, first:stop]
+        cs2 = sq.cumsum(axis=1)[:, first:stop]
+        cost = np.multiply(cs, cs, out=sq[:, first:stop])
         cost /= left_n
         np.subtract(cs2, cost, out=cost)
         np.subtract(total_s, cs, out=cs)
@@ -119,119 +173,100 @@ def _split_costs(xs: np.ndarray, ys: np.ndarray, n_classes: int, min_leaf: int) 
         np.subtract(total_s2, cs2, out=cs2)
         cs2 -= cs
         cost += cs2
-    np.copyto(cost, np.inf, where=xs[:, :-1] == xs[:, 1:])
-    if min_leaf > 1:
-        cost[:, : min_leaf - 1] = np.inf
-        cost[:, n - min_leaf :] = np.inf
+    np.copyto(cost, np.inf, where=xs[:, first:stop] == xs[:, min_leaf : stop + 1])
+    if padded and min_leaf > 1:
+        np.copyto(cost, np.inf, where=right_n < min_leaf)
     return cost
 
 
+def _blocks(widths: list) -> list:
+    """Bounds of blocks of rows ordered longest first.
+
+    A block holds at most ``_BLOCK`` padded values, and pads no row by more
+    than ``_PAD`` values.
+    """
+    bounds = [0]
+    while bounds[-1] < len(widths):
+        start = bounds[-1]
+        end = min(len(widths), start + max(1, _BLOCK // widths[start]))
+        while widths[end - 1] < widths[start] - _PAD:
+            end -= 1
+        bounds.append(end)
+    return bounds
+
+
+def _best_splits(Xt, Yt, level, starts, sizes, features, n_classes: int, min_leaf: int):
+    """(cost, feature, threshold) of each node's best split; cost inf where none is allowed.
+
+    Row ``j`` of ``level`` holds indices into ``Xt``, ``X.T`` raveled, and
+    into ``Yt``, ``y`` repeated once per column. Node ``i`` owns positions
+    ``starts[i]:starts[i] + sizes[i]`` of each row of ``level`` and scans
+    the columns ``features[i]``, ascending. The (node, feature) rows are scored
+    together, longest first, in blocks (see ``_blocks``); each block is
+    padded to its longest row.
+    """
+    nodes, per_node = features.shape
+    m = level.shape[1]
+    row_feature = features.ravel()
+    row_size = sizes.repeat(per_node)
+    row_start = starts.repeat(per_node)
+    first = row_feature * m + row_start  # in level.ravel()
+    # A row sorts its values, so it is constant, with no split, when its
+    # first value equals its last. The others are scanned longest first.
+    live = Xt.take(level.take(first)) < Xt.take(level.take(first + row_size - 1))
+    scan = live.nonzero()[0]
+    scan = scan[(-row_size[scan]).argsort(kind="stable")]
+    low = np.full(len(row_feature), np.inf)
+    lo, hi = np.zeros(len(row_feature)), np.zeros(len(row_feature))
+    widths, node_start = row_size[scan].tolist(), row_start[scan].tolist()
+    scan_feature, scan_size, first = row_feature[scan], row_size[scan], first[scan, None]
+    span = np.arange(widths[0] if widths else 0)
+    bounds = _blocks(widths)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        width, size = widths[a], scan_size[a:b]
+        padded = widths[b - 1] < width
+        if node_start[a] == node_start[b - 1]:  # the rows of one node
+            o = level[scan_feature[a:b], node_start[a] : node_start[a] + width]
+        else:
+            at = first[a:b] + span[:width]
+            if padded:
+                np.minimum(at, first[a:b] + (size[:, None] - 1), out=at)
+            o = level.take(at)
+        xs, ys = Xt.take(o), Yt.take(o)
+        if padded:
+            ys[span[:width] >= size[:, None]] = -1 if n_classes else 0
+        cost = _split_costs(xs, ys, size if padded else None, n_classes, min_leaf)
+        r = np.arange(b - a)
+        j = cost.argmin(axis=1)
+        pos = j + (min_leaf - 1)
+        rows = scan[a:b]
+        low[rows], lo[rows], hi[rows] = cost[r, j], xs[r, pos], xs[r, pos + 1]
+    low[~np.isfinite(low)] = np.inf
+    best = low.reshape(nodes, per_node).argmin(axis=1)
+    best += np.arange(0, nodes * per_node, per_node)
+    thresholds = []
+    for lo_, hi_ in zip(lo[best].tolist(), hi[best].tolist()):
+        # Python floats: -inf + inf and overflow give NaN and inf without a
+        # warning. Adjacent floats, an overflow or -inf and inf: the
+        # midpoint is not below hi and would send every row left.
+        mid = 0.5 * (lo_ + hi_)
+        thresholds.append(mid if mid < hi_ else lo_)
+    return low[best], features.ravel()[best], np.array(thresholds)
+
+
 class _Table:
-    """Nodes of one or more trees while they grow, appended in preorder."""
+    """Nodes of one or more trees while they grow, appended a level at a time."""
 
     def __init__(self, n_classes: int):
         self.n_classes = n_classes
-        self.blank = [0.0] * n_classes if n_classes else 0.0
-        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+        self.size = 0
         self.roots = []
+        self.levels = []
 
-    def add(self, value, feature: int = -1, threshold: float = math.nan) -> int:
-        """Append a node whose children are itself (a leaf until they are set)."""
-        node = len(self.feature)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(node)
-        self.right.append(node)
-        self.value.append(value)
-        return node
-
-
-class _TreeBuilder:
-    """Grows one tree on fixed ``X``, ``y`` from their presorted column orders.
-
-    A node is its rows (ascending) and the ``(w, n)`` orders of those rows
-    per column; ``build`` appends the tree to ``table``. When ``fitted`` is
-    given, every leaf writes its value to the training rows it holds, which
-    equals the tree's prediction on them.
-    """
-
-    def __init__(self, X, y, table: _Table, max_depth, min_split: int, min_leaf: int,
-                 feature_sample: int | None = None, rng=None, fitted=None):
-        self.X = X
-        self.y = y
-        self.table = table
-        self.n_classes = table.n_classes
-        self.max_depth = math.inf if max_depth is None else max_depth
-        self.min_split = min_split
-        self.min_leaf = min_leaf
-        self.feature_sample = feature_sample
-        self.rng = rng
-        self.fitted = fitted
-        self.goes_left = np.zeros(len(y), dtype=bool)
-
-    def build(self, order: np.ndarray, rows: np.ndarray, depth: int = 0) -> int:
-        """Append the subtree of ``rows`` to the table; the index of its root."""
-        w, n = order.shape
-        y = self.y[rows]
-        parent_cost = _node_cost(y, self.n_classes)
-        if (
-            depth >= self.max_depth
-            or n < self.min_split
-            or n < 2 * self.min_leaf
-            or parent_cost <= _MIN_GAIN
-        ):
-            return self._leaf(rows, y)
-        if self.feature_sample is not None and self.feature_sample < w:
-            features = np.sort(self.rng.choice(w, self.feature_sample, replace=False))
-        else:
-            features = np.arange(w)
-        best = self._best_split(order, features)
-        if best is None or parent_cost - best[0] <= _MIN_GAIN:
-            return self._leaf(rows, y)
-        _, j, threshold = best
-        go_left = self.X[rows, j] <= threshold
-        left, right = rows[go_left], rows[~go_left]
-        self.goes_left[left] = True
-        in_left = self.goes_left[order]
-        self.goes_left[left] = False
-        # Each child's frame holds the only reference to its orders and drops
-        # it once split, so the orders alive along a path cover disjoint rows.
-        orders = [order[~in_left].reshape(w, len(right)), order[in_left].reshape(w, len(left))]
-        del order, in_left
-        node = self.table.add(self.table.blank, j, threshold)
-        self.table.left[node] = self.build(orders.pop(), left, depth + 1)
-        self.table.right[node] = self.build(orders.pop(), right, depth + 1)
-        return node
-
-    def _leaf(self, rows: np.ndarray, y: np.ndarray) -> int:
-        payload = _leaf_payload(y, self.n_classes)
-        if self.fitted is not None:
-            self.fitted[rows] = payload
-        return self.table.add(payload)
-
-    def _best_split(self, order: np.ndarray, features: np.ndarray):
-        """(cost, feature, threshold) of the node's best split, or None if none is allowed."""
-        best = None
-        step = max(1, _BLOCK // order.shape[1])
-        for start in range(0, len(features), step):
-            block = features[start : start + step]
-            o = order[block]
-            xs = self.X[o, block[:, None]]
-            cost = _split_costs(xs, self.y[o], self.n_classes, self.min_leaf)
-            pos = np.argmin(cost, axis=1)
-            low = cost[np.arange(len(block)), pos]
-            low[~np.isfinite(low)] = np.inf
-            i = int(np.argmin(low))
-            if low[i] < (best[0] if best else np.inf):
-                # Python floats: -inf + inf and overflow give NaN and inf without a warning.
-                lo, hi = float(xs[i, pos[i]]), float(xs[i, pos[i] + 1])
-                threshold = 0.5 * (lo + hi)
-                if not threshold < hi:
-                    # Adjacent floats, an overflow or -inf and inf: the midpoint
-                    # is not below hi and would send every row left.
-                    threshold = lo
-                best = (float(low[i]), int(block[i]), threshold)
-        return best
+    def add(self, feature, threshold, left, right, value) -> None:
+        """Append one level's nodes as parallel arrays."""
+        self.levels.append((feature, threshold, left, right, value))
+        self.size += len(feature)
 
 
 _TABLE = ("roots_", "feature_", "threshold_", "left_", "right_", "value_")
@@ -251,27 +286,100 @@ class _TreeModel(Model):
 
     def _grow(self, table: _Table, X, y, order, rng=None, feature_sample=None,
               fitted=None) -> None:
-        """Append one tree fitted on checked inputs; ``order`` is the presort of ``X``."""
-        builder = _TreeBuilder(
-            X,
-            y,
-            table,
-            self.max_depth,
-            self.min_samples_split,
-            self.min_samples_leaf,
-            feature_sample,
-            rng,
-            fitted,
-        )
-        table.roots.append(builder.build(order, np.arange(len(y))))
+        """Append one tree fitted on checked inputs, one level at a time.
+
+        ``order`` is the presort of ``X``. Each node of a level owns a range
+        of every row of ``level``: row j < w holds the node's rows in
+        (value, row) order by column j, as ``j * n + row``, and the last row
+        holds them ascending. ``rank`` gives each range's place in level
+        order. When ``fitted`` is given, every leaf writes its value to the
+        training rows it holds, which equals the tree's prediction on them.
+        """
+        n_classes = table.n_classes
+        n, w = X.shape
+        Xt = np.ascontiguousarray(X.T)
+        Yt = np.tile(y, w)
+        max_depth = math.inf if self.max_depth is None else self.max_depth
+        smallest = max(self.min_samples_split, 2 * self.min_samples_leaf)
+        level = np.empty((w + 1, n), dtype=np.int32 if (w + 1) * n < 2**31 else np.intp)
+        level[:w], level[w] = order, np.arange(n)
+        level[:w] += n * np.arange(w, dtype=level.dtype)[:, None]
+        sizes = np.array([n])
+        rank = np.zeros(1, dtype=np.intp)  # each node's place in level order
+        goes = np.empty(n, dtype=np.int8)  # per row: 1 left, 2 right, 0 in a leaf
+        table.roots.append(table.size)
+        depth = 0
+        while True:
+            nodes = len(sizes)
+            rows = level[-1]
+            scored = sizes >= smallest if depth < max_depth and w else np.zeros(nodes, bool)
+            cost, value = _level_stats(y.take(rows), sizes, scored, n_classes)
+            starts = sizes.cumsum() - sizes
+            node_feature = np.full(nodes, -1)
+            node_threshold = np.full(nodes, math.nan)
+            split = (scored & ~(cost <= _MIN_GAIN)).nonzero()[0]
+            if len(split):
+                if feature_sample is not None and feature_sample < w:
+                    # One row per node of the level, in level order. A level
+                    # that searches no node ends its tree, so it draws nothing.
+                    draws = rng.random((nodes, w))[rank[split]]
+                    features = draws.argsort(axis=1, kind="stable")[:, :feature_sample]
+                    features.sort(axis=1)
+                else:
+                    features = np.arange(w)[None].repeat(len(split), axis=0)
+                low, feature, threshold = _best_splits(
+                    Xt, Yt, level, starts[split], sizes[split], features, n_classes,
+                    self.min_samples_leaf,
+                )
+                keep = ~(cost[split] - low <= _MIN_GAIN)
+                split = split[keep]
+                node_feature[split] = feature[keep]
+                node_threshold[split] = threshold[keep]
+                value[split] = 0.0
+            # The table takes the level in level order; the children of
+            # the i-th split follow the level, at 2i and 2i + 1.
+            slot = rank.argsort()
+            is_split = node_feature[slot] >= 0
+            splits_before = is_split.cumsum() - 1
+            left = np.where(
+                is_split, table.size + nodes + 2 * splits_before,
+                np.arange(table.size, table.size + nodes),
+            ).astype(np.int32)
+            table.add(node_feature[slot].astype(np.int32), node_threshold[slot], left,
+                      left + is_split, value[slot])
+            if fitted is not None:
+                # A split writes 0, which its children overwrite.
+                fitted[rows] = value.repeat(sizes)
+            if not len(split):
+                return
+            # One stable partition of the whole level: the left children's
+            # ranges first, then the right children's. Children at the depth
+            # limit are leaves and need only their rows.
+            depth += 1
+            if depth >= max_depth:
+                level = level[-1:]
+            x = Xt.take((np.maximum(node_feature, 0) * n).repeat(sizes) + rows)
+            # X holds no NaN, so ">" is exactly "not <=" at every split, and a
+            # leaf's NaN threshold sends none of its rows right.
+            goes[rows] = np.add(
+                x > node_threshold.repeat(sizes), (node_feature >= 0).repeat(sizes),
+                dtype=np.int8,
+            )
+            where = np.concatenate((goes,) * w).take(level)  # goes, read by index into Xt
+            left_sizes = np.add.reduceat(where[-1] == 1, starts)[split]
+            sizes = np.concatenate([left_sizes, sizes[split] - left_sizes])
+            where, flat = where.ravel(), level.ravel()
+            level = np.concatenate(
+                [flat.compress(where == side).reshape(len(level), -1) for side in (1, 2)],
+                axis=1,
+            )
+            k = splits_before[rank[split]]
+            rank = np.concatenate([2 * k, 2 * k + 1])
 
     def _store(self, table: _Table) -> None:
         self.roots_ = np.array(table.roots, dtype=np.int32)
-        self.feature_ = np.array(table.feature, dtype=np.int32)
-        self.threshold_ = np.array(table.threshold)
-        self.left_ = np.array(table.left, dtype=np.int32)
-        self.right_ = np.array(table.right, dtype=np.int32)
-        self.value_ = np.array(table.value)
+        columns = map(np.concatenate, zip(*table.levels))
+        self.feature_, self.threshold_, self.left_, self.right_, self.value_ = columns
         self._derive()
 
     def _derive(self) -> None:
@@ -366,9 +474,10 @@ class Cart(_TreeModel):
 class RandomForest(_TreeModel):
     """Bootstrap ensemble of CARTs with per-split feature subsampling.
 
-    Tree t draws from a generator seeded with ``seed + t``. With
-    ``bootstrap=False``, ``feature_subsample=False`` and ``n_trees=1`` the
-    forest reproduces a single CART exactly.
+    Tree t draws its bootstrap sample, then its features level by level
+    (see the module docstring), from a generator seeded with ``seed + t``.
+    With ``bootstrap=False``, ``feature_subsample=False`` and ``n_trees=1``
+    the forest reproduces a single CART exactly.
     """
 
     method = "random_forest"
@@ -407,7 +516,8 @@ class RandomForest(_TreeModel):
             # The keys are distinct and ordered as (value, position) in the
             # sample, so any sort of them gives the sample's stable presort.
             order = np.argsort(ranks[:, rows] * n + positions, axis=1)
-            self._grow(table, X[rows], y[rows], order, rng, per_split)
+            # Columns of the sample contiguous, as the growth reads them.
+            self._grow(table, X.T.take(rows, axis=1).T, y[rows], order, rng, per_split)
         self._store(table)
         return self
 

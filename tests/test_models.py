@@ -382,3 +382,17 @@ def test_tree_models_reject_bad_tree_parameters(cls, params):
     state["params"].update(params)
     with pytest.raises(FormatError):
         Model.from_state(state)
+
+
+@pytest.mark.parametrize(
+    "model,params",
+    [(RandomForest(n_trees=3), {"max_depth": -2}), (KNNModel(), {"task": "ranking"})],
+)
+def test_set_params_checks_like_the_constructor(model, params):
+    before = model.get_params()
+    with pytest.raises(ConfigurationError):
+        model.set_params(**params)
+    assert model.get_params() == before
+    with pytest.raises(ContractError, match="unknown parameter"):
+        model.set_params(depth=3)
+    assert model.set_params(**before) is model and model.get_params() == before
