@@ -1,4 +1,12 @@
-"""Linear family: ridge least squares, logistic, and log-link count GLM."""
+"""Linear family: ridge least squares, logistic, and log-link count GLM.
+
+Ridge has a closed form. The logistic and count models share one loop,
+``_irls``: penalized IRLS (Newton's method for a canonical link) with step
+halving, minimising ``deviance + beta @ (penalty * beta)``; ``tol`` bounds
+the change in that penalized deviance between rounds. All three predict
+through ``_linear``, summed in column order, so a lone row gets the bits
+it gets in any batch.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +22,55 @@ _ETA_CLIP = 30.0
 
 def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(X), 1)), X])
+
+
+def _linear(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``coef[0] + X[:, 0]*coef[1] + ...``, one column at a time."""
+    if len(X) == 1:
+        # Python floats round as numpy does, without per-column array overhead.
+        total = float(coef[0])
+        for x, c in zip(X[0].tolist(), coef[1:].tolist()):
+            total += x * c
+        return np.array([total])
+    out = np.full(len(X), float(coef[0]))
+    for j in range(X.shape[1]):
+        out += X[:, j] * coef[j + 1]
+    return out
+
+
+def _irls(A, y, beta, mean, variance, half_deviance, penalty, max_iter, tol, offset=0.0):
+    """Minimise ``2 * sum(half_deviance(y, mean(eta))) + beta @ (penalty * beta)`` from ``beta``.
+
+    ``eta = A @ beta + offset`` is clipped to +-30. A step is halved up to
+    10 times until that sum does not rise; the loop stops when no step
+    does, when the sum changes by less than ``tol``, or after ``max_iter``.
+    """
+
+    def evaluate(b):
+        eta = np.clip(A @ b + offset, -_ETA_CLIP, _ETA_CLIP)
+        mu = mean(eta)
+        return eta, mu, 2.0 * float(half_deviance(y, mu).sum()) + float(b @ (penalty * b))
+
+    eta, mu, dev = evaluate(beta)
+    for _ in range(max_iter):
+        W = variance(mu)
+        z = (eta - offset) + (y - mu) / W
+        AtW = A.T * W
+        try:
+            proposal = np.linalg.solve(AtW @ A + np.diag(penalty), AtW @ z)
+        except np.linalg.LinAlgError:
+            raise FitError("singular weighted least-squares system") from None
+        for halvings in range(10):
+            candidate = beta + 0.5**halvings * (proposal - beta)
+            eta_c, mu_c, dev_c = evaluate(candidate)
+            if np.isfinite(dev_c) and dev_c <= dev:
+                break
+        else:
+            break
+        beta, eta, mu, previous, dev = candidate, eta_c, mu_c, dev, dev_c
+        if abs(previous - dev) < tol:
+            break
+    return beta
 
 
 class RidgeRegression(Model):
@@ -41,50 +98,23 @@ class RidgeRegression(Model):
         return self
 
     def predict(self, X) -> np.ndarray:
-        return _with_intercept(self._inputs(X)) @ self.coef_
+        return _linear(self._inputs(X), self.coef_)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _binary_nll(w, A, y, alpha):
-    z = A @ w
-    nll = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    return nll + 0.5 * alpha * float(w[1:] @ w[1:]) / len(y)
-
-
-def _fit_binary_logistic(A, y, alpha, max_iter, tol):
-    """Gradient descent with Armijo backtracking on the mean NLL."""
-    n = len(y)
-    w = np.zeros(A.shape[1])
-    f = _binary_nll(w, A, y, alpha)
-    step = 1.0
-    for _ in range(max_iter):
-        p = _sigmoid(A @ w)
-        grad = A.T @ (p - y) / n
-        grad[1:] += alpha * w[1:] / n
-        g2 = float(grad @ grad)
-        if np.sqrt(g2) <= tol:
-            break
-        t = min(step * 2.0, 1e6)
-        for _ in range(60):
-            trial = w - t * grad
-            f_trial = _binary_nll(trial, A, y, alpha)
-            if f_trial <= f - 1e-4 * t * g2:
-                break
-            t *= 0.5
-        else:
-            break
-        w, f, step = trial, f_trial, t
-    return w
+def _binomial_half_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return -np.log(np.where(y > 0, mu, 1.0 - mu))
 
 
 class LogisticModel(Model):
     """L2-regularized logistic regression; multiclass is one-vs-rest.
 
-    One-vs-rest sigmoid scores are normalized by their row sum to give the
-    probability table.
+    Each class minimises its binomial deviance plus ``alpha`` times its squared
+    non-intercept coefficients; ``tol`` bounds the change in that sum per round.
+    One-vs-rest sigmoid scores are normalized by their row sum.
     """
 
     method = "logistic"
@@ -94,6 +124,8 @@ class LogisticModel(Model):
     def __init__(self, alpha: float = 1e-4, max_iter: int = 500, tol: float = 1e-6):
         if alpha < 0:
             raise ConfigurationError("alpha must be nonnegative")
+        if max_iter < 1:
+            raise ConfigurationError("max_iter must be at least 1")
         self.alpha = alpha
         self.max_iter = max_iter
         self.tol = tol
@@ -101,23 +133,23 @@ class LogisticModel(Model):
     def fit(self, X, y, n_classes: int | None = None) -> "LogisticModel":
         X, y = self._fit_inputs(X, y, n_classes)
         A = _with_intercept(X)
-        if self.n_classes_ == 2:
-            w = _fit_binary_logistic(A, (y == 1).astype(float), self.alpha, self.max_iter, self.tol)
-            self.coef_ = w.reshape(1, -1)
-        else:
-            rows = [
-                _fit_binary_logistic(A, (y == c).astype(float), self.alpha, self.max_iter, self.tol)
-                for c in range(self.n_classes_)
-            ]
-            self.coef_ = np.vstack(rows)
+        penalty = np.full(A.shape[1], self.alpha)
+        penalty[0] = 0.0
+        classes = [1] if self.n_classes_ == 2 else range(self.n_classes_)
+        self.coef_ = np.vstack([
+            _irls(A, (y == c).astype(float), np.zeros(A.shape[1]), _sigmoid,
+                  lambda mu: mu * (1.0 - mu), _binomial_half_deviance, penalty,
+                  self.max_iter, self.tol)
+            for c in classes
+        ])
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        A = _with_intercept(self._inputs(X))
+        X = self._inputs(X)
         if self.n_classes_ == 2:
-            p1 = _sigmoid(A @ self.coef_[0])
+            p1 = _sigmoid(_linear(X, self.coef_[0]))
             return np.column_stack([1.0 - p1, p1])
-        scores = _sigmoid(A @ self.coef_.T)
+        scores = np.column_stack([_sigmoid(_linear(X, coef)) for coef in self.coef_])
         sums = scores.sum(axis=1, keepdims=True)
         uniform = np.full_like(scores, 1.0 / self.n_classes_)
         return np.where(sums > 0, scores / np.where(sums > 0, sums, 1.0), uniform)
@@ -126,19 +158,13 @@ class LogisticModel(Model):
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-def _poisson_deviance_total(y: np.ndarray, mu: np.ndarray) -> float:
-    return float(2.0 * poisson_deviance_terms(y, mu).sum())
-
-
 class PoissonGLM(Model):
-    """Log-link count regression fitted by iteratively reweighted least squares.
+    """Log-link count regression fitted by unpenalized IRLS.
 
     The response must be nonnegative and integer valued. An optional
     per-row offset (e.g. log exposure) enters the linear predictor with a
-    fixed unit coefficient. Step halving (up to 10 times) protects against
-    deviance increases; iteration stops when the total deviance changes by
-    less than ``tol`` or after ``max_iter`` rounds. Predictions are
-    exp(linear predictor), hence always strictly positive.
+    fixed unit coefficient. Predictions are exp(linear predictor), hence
+    always strictly positive.
     """
 
     method = "poisson_glm"
@@ -160,39 +186,12 @@ class PoissonGLM(Model):
         A = _with_intercept(X)
         beta = np.zeros(A.shape[1])
         beta[0] = np.log(max(float(y.mean()), 1e-8))
-        eta = np.clip(A @ beta + off, -_ETA_CLIP, _ETA_CLIP)
-        mu = np.exp(eta)
-        dev = _poisson_deviance_total(y, mu)
-        for _ in range(self.max_iter):
-            z = (eta - off) + (y - mu) / mu
-            W = mu
-            AtW = A.T * W
-            try:
-                proposal = np.linalg.solve(AtW @ A, AtW @ z)
-            except np.linalg.LinAlgError:
-                raise FitError("singular weighted least-squares system") from None
-            step = 1.0
-            accepted = False
-            for _ in range(10):
-                candidate = beta + step * (proposal - beta)
-                eta_c = np.clip(A @ candidate + off, -_ETA_CLIP, _ETA_CLIP)
-                mu_c = np.exp(eta_c)
-                dev_c = _poisson_deviance_total(y, mu_c)
-                if np.isfinite(dev_c) and dev_c <= dev:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            converged = abs(dev - dev_c) < self.tol
-            beta, eta, mu, dev = candidate, eta_c, mu_c, dev_c
-            if converged:
-                break
-        self.coef_ = beta
+        self.coef_ = _irls(A, y, beta, np.exp, lambda mu: mu, poisson_deviance_terms,
+                           np.zeros(A.shape[1]), self.max_iter, self.tol, off)
         return self
 
     def predict(self, X, offset=None) -> np.ndarray:
         X = self._inputs(X)
         off = np.zeros(len(X)) if offset is None else as_float_vector(offset, "offset")
-        eta = np.clip(_with_intercept(X) @ self.coef_ + off, -_ETA_CLIP, _ETA_CLIP)
+        eta = np.clip(_linear(X, self.coef_) + off, -_ETA_CLIP, _ETA_CLIP)
         return np.exp(eta)

@@ -70,6 +70,19 @@ class TestRidge:
         assert m.predict(X) == pytest.approx(np.full(20, 100.0), rel=1e-3)
 
 
+def logistic_gradient_norm(model, X, y):
+    """Norm of the gradient of the mean penalized negative log-likelihood."""
+    A = np.hstack([np.ones((len(X), 1)), X])
+    classes = [1] if model.n_classes_ == 2 else range(model.n_classes_)
+    worst = 0.0
+    for c, coef in zip(classes, model.coef_):
+        p = 0.5 * (1.0 + np.tanh(0.5 * (A @ coef)))
+        grad = A.T @ (p - (y == c)) / len(y)
+        grad[1:] += model.alpha * coef[1:] / len(y)
+        worst = max(worst, float(np.linalg.norm(grad)))
+    return worst
+
+
 class TestLogistic:
     def test_separates_blobs(self):
         rng = np.random.default_rng(1)
@@ -79,6 +92,7 @@ class TestLogistic:
         assert (m.predict(X) == y).mean() > 0.95
         probs = m.predict_proba(X)
         assert probs.sum(axis=1) == pytest.approx(np.ones(80), abs=1e-9)
+        assert logistic_gradient_norm(m, X, y) <= 1e-6
 
     def test_multiclass_ovr(self):
         rng = np.random.default_rng(2)
@@ -89,6 +103,38 @@ class TestLogistic:
         assert (m.predict(X) == y).mean() > 0.9
         probs = m.predict_proba(X)
         assert probs.sum(axis=1) == pytest.approx(np.ones(90), abs=1e-9)
+        assert logistic_gradient_norm(m, X, y) <= 1e-6
+
+    def test_badly_scaled_columns_reach_the_optimum(self):
+        # Unpenalized, the optimum does not depend on an affine change of the
+        # columns: fit standardized columns, then the same columns scaled by
+        # 1 to 1000 and shifted by 50, as a pipeline with no scaler passes them.
+        rng = np.random.default_rng(0)
+        y = (rng.random(1000) < 0.1).astype(int)
+        X = rng.normal(size=(1000, 6)) * 1.5 + y[:, None]
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
+        S = Z * np.logspace(0, 3, 6) + 50.0
+
+        def nll(coef, X):
+            z = coef[0] + X @ coef[1:]
+            return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+        standardized = LogisticModel(alpha=0.0).fit(Z, y)
+        scaled = LogisticModel(alpha=0.0).fit(S, y)
+        assert nll(scaled.coef_[0], S) == pytest.approx(nll(standardized.coef_[0], Z), abs=1e-9)
+        assert logistic_gradient_norm(scaled, S, y) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-4])
+    def test_separable_data_stays_finite(self, alpha):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        try:
+            m = LogisticModel(alpha=alpha).fit(X, np.array([0, 0, 1, 1]))
+        except FitError:
+            return
+        probs = m.predict_proba(X)
+        assert np.isfinite(m.coef_).all()
+        assert probs.min() >= 0.0 and probs.max() <= 1.0
+        assert m.predict(X).tolist() == [0, 0, 1, 1]
 
 
 class TestPoissonGLM:
@@ -111,6 +157,13 @@ class TestPoissonGLM:
         m = PoissonGLM().fit(X, y, offset=offset)
         assert m.coef_[0] == pytest.approx(intercept, abs=1e-4)
         assert m.coef_[1:] == pytest.approx(beta, abs=1e-4)
+        # The fitting arithmetic is pinned: these are the bits served models carry.
+        assert [float(c).hex() for c in m.coef_] == [
+            "0x1.6666666666667p-1",
+            "0x1.9999999999997p-2",
+            "-0x1.3333333333331p-2",
+            "0x1.9999999999996p-3",
+        ]
 
     def test_predictions_strictly_positive(self):
         rng = np.random.default_rng(4)
@@ -367,6 +420,32 @@ def test_every_model_keeps_the_contract(method, task):
     if "task" in cls._param_names():
         with pytest.raises(ConfigurationError, match="unknown task"):
             cls(task="ranking")
+
+
+@pytest.mark.parametrize(
+    "cls,n_classes",
+    [(RidgeRegression, 0), (PoissonGLM, 0), (LogisticModel, 2), (LogisticModel, 3)],
+    ids=["ridge", "poisson_glm", "logistic-2", "logistic-3"],
+)
+def test_linear_models_predict_a_lone_row_as_in_its_batch(cls, n_classes):
+    model = cls()
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(500, 9)) * np.logspace(-1, 2, 9)
+    signal = X @ (0.3 / np.logspace(-1, 2, 9))
+    if n_classes:
+        model.fit(X, np.digitize(signal, np.quantile(signal, [0.5, 0.8][: n_classes - 1])))
+        batch, score = model.predict_proba(X), model.predict_proba
+    else:
+        model.fit(X, rng.poisson(np.exp(0.5 + 0.3 * signal)).astype(float))
+        batch, score = model.predict(X), model.predict
+    alone = np.vstack([score(X[i : i + 1]) for i in range(len(X))]).reshape(batch.shape)
+    assert alone.tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("cls", [LogisticModel, PoissonGLM])
+def test_glms_reject_max_iter_below_one(cls):
+    with pytest.raises(ConfigurationError, match="max_iter"):
+        cls(max_iter=0)
 
 
 @pytest.mark.parametrize("cls", [Cart, RandomForest, GradientBoosted])

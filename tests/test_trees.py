@@ -334,6 +334,25 @@ def test_scan_blocks_keep_the_first_feature(kind, block, monkeypatch):
     assert as_json(got) == as_json(oracle_cart(X, y, k, 6))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_mirrored_columns_keep_the_partition_tie_order(seed):
+    """Below the root, an ulp of summation order picks between mirrored columns.
+
+    Columns 1 and 2 are mirrored 0/1 indicators: each child of the root
+    split on column 0 can split on either with the same partition and, up
+    to rounding, the same cost. Their tied rows reach each child in row
+    order only through a stable partition of the level; a child whose ties
+    are reordered sums them in another order, and on some seeds the other
+    column wins.
+    """
+    rng = np.random.default_rng(seed)
+    root, two = rng.integers(0, 2, 40), rng.integers(0, 2, 40)
+    X = np.column_stack([root, two == 0, two == 1]).astype(float)
+    y = 10.0 * root + 0.5 * two + rng.normal(size=40)
+    got = nested(Cart("regression", max_depth=2).fit(X, y))
+    assert as_json(got) == as_json(oracle_cart(X, y, 0, 2))
+
+
 def test_boosted_training_values_are_predictions():
     """The leaf values a build writes for its rows are what ``predict`` returns."""
     X, y = case("grid", "residual", 8)
