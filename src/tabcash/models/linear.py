@@ -193,5 +193,7 @@ class PoissonGLM(Model):
     def predict(self, X, offset=None) -> np.ndarray:
         X = self._inputs(X)
         off = np.zeros(len(X)) if offset is None else as_float_vector(offset, "offset")
+        if len(off) != len(X):
+            raise ConfigurationError("offset length does not match X")
         eta = np.clip(_linear(X, self.coef_) + off, -_ETA_CLIP, _ETA_CLIP)
         return np.exp(eta)

@@ -1,9 +1,9 @@
 """Tree family: CART, bootstrap forests, and stagewise boosted trees.
 
-Split search is exact: every candidate feature is scanned over the
-midpoints between consecutive distinct values, minimizing summed squared
-error (regression) or summed Gini impurity (classification). The split
-rule is fixed down to its ties:
+CART and forests search splits exactly: every candidate feature is
+scanned over the midpoints between consecutive distinct values,
+minimizing summed squared error (regression) or summed Gini impurity
+(classification). The split rule is fixed down to its ties:
 
 - each column is sorted once per fit by a stable argsort, so equal values
   keep ascending row order, and each node's sorted columns reach its
@@ -18,11 +18,11 @@ rule is fixed down to its ties:
 A feature with no allowed split (all values equal, or none leaving
 ``min_samples_leaf`` rows per side) is skipped.
 
-Every tree grows one level at a time (breadth first, as in SLIQ), by one
-grower for CART, forests and boosting. The nodes of a level own
-consecutive ranges of one array with a row per column and one for the
-rows themselves, and one stable partition of that array makes the next
-level: the left children's ranges, then the right children's. All the
+Every CART and forest tree grows one level at a time (breadth first, as
+in SLIQ), by one grower. The nodes of a level own consecutive ranges of
+one array with a row per column and one for the rows themselves, and one
+stable partition of that array makes the next level: the left children's
+ranges, then the right children's. All the
 (node, feature) rows a level scans are scored together, longest first, in
 blocks of at most ``_BLOCK`` values, each row padded with zeros to the
 longest of its block. A zero-padded ``cumsum`` equals each row's own
@@ -36,6 +36,29 @@ draws ``rng.random((nodes, w))`` per level from its own generator, one row
 per node of the level in level order (parents in level order, a left
 child before its right). A node's candidate features are the sorted first
 ``feature_sample`` columns of its row's stable argsort.
+
+Boosted trees split on binned columns instead, as in LightGBM (Ke et
+al., NeurIPS 2017). ``fit`` bins every column once, and all stages share
+the bins:
+
+- a column with at most ``_MAX_BINS`` (255) distinct values gets one bin
+  per value; a wider one gets runs of consecutive distinct values, cut
+  where a row-count quantile falls, at most ``_MAX_BINS`` of them;
+- each level of a stage scores its nodes from two ``bincount`` calls
+  over (node, column, bin) keys, the residual sums and the row counts,
+  and cumulative sums along the bins; a deep level with more nodes than
+  that histogram can hold in as many cells as the level has keys is
+  scored in runs of nodes, so memory stays flat;
+- the gain of a split is the drop in squared error, SL^2/nL + SR^2/nR -
+  S^2/n, with ``min_samples_leaf`` rows on each side; the first largest
+  gain in (column, bin) order wins, and a node splits when it exceeds
+  ``_MIN_GAIN``;
+- the threshold is the midpoint between the highest training value of
+  the last left bin and the lowest of the node's first occupied bin on
+  the right (or that highest value, where the midpoint is not below the
+  lowest). On a column with at most 255 distinct values the candidate
+  splits and thresholds are therefore the exact engine's; sums rounded
+  in another order can still break a near tie the other way.
 
 A fitted model keeps all its trees in one node table of parallel arrays,
 one entry per node: ``feature_``, ``threshold_``, ``left_``, ``right_``
@@ -67,6 +90,7 @@ _MIN_GAIN = 1e-12
 _BLOCK = 1 << 13
 _PAD = 64  # most padding per row of a scan block
 _WALK = 1 << 16  # (tree, row) pairs walked at once
+_MAX_BINS = 255  # most bins per column in boosting
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
@@ -244,14 +268,22 @@ def _best_splits(Xt, Yt, level, starts, sizes, features, n_classes: int, min_lea
     low[~np.isfinite(low)] = np.inf
     best = low.reshape(nodes, per_node).argmin(axis=1)
     best += np.arange(0, nodes * per_node, per_node)
+    return low[best], features.ravel()[best], _thresholds(lo[best], hi[best])
+
+
+def _thresholds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Threshold between each highest left value ``lo`` and lowest right value ``hi``.
+
+    The midpoint, or ``lo`` where the midpoint is not below ``hi``: with
+    adjacent floats, an overflow or -inf and inf, it would send every row
+    left.
+    """
     thresholds = []
-    for lo_, hi_ in zip(lo[best].tolist(), hi[best].tolist()):
-        # Python floats: -inf + inf and overflow give NaN and inf without a
-        # warning. Adjacent floats, an overflow or -inf and inf: the
-        # midpoint is not below hi and would send every row left.
+    for lo_, hi_ in zip(lo.tolist(), hi.tolist()):
+        # Python floats: -inf + inf and overflow give NaN and inf without a warning.
         mid = 0.5 * (lo_ + hi_)
         thresholds.append(mid if mid < hi_ else lo_)
-    return low[best], features.ravel()[best], np.array(thresholds)
+    return np.array(thresholds)
 
 
 class _Table:
@@ -263,10 +295,21 @@ class _Table:
         self.roots = []
         self.levels = []
 
-    def add(self, feature, threshold, left, right, value) -> None:
-        """Append one level's nodes as parallel arrays."""
-        self.levels.append((feature, threshold, left, right, value))
-        self.size += len(feature)
+    def add(self, feature, threshold, value) -> np.ndarray:
+        """Append one level's nodes, in level order; return each one's count of splits before it.
+
+        The children of the level's i-th split follow the level, at 2i and
+        2i + 1; a leaf (feature -1) is its own left and right child.
+        """
+        nodes = len(feature)
+        is_split = feature >= 0
+        before = is_split.cumsum() - is_split
+        left = np.where(
+            is_split, self.size + nodes + 2 * before, np.arange(self.size, self.size + nodes)
+        ).astype(np.int32)
+        self.levels.append((feature.astype(np.int32), threshold, left, left + is_split, value))
+        self.size += nodes
+        return before
 
 
 _TABLE = ("roots_", "feature_", "threshold_", "left_", "right_", "value_")
@@ -284,16 +327,14 @@ class _TreeModel(Model):
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
 
-    def _grow(self, table: _Table, X, y, order, rng=None, feature_sample=None,
-              fitted=None) -> None:
+    def _grow(self, table: _Table, X, y, order, rng=None, feature_sample=None) -> None:
         """Append one tree fitted on checked inputs, one level at a time.
 
         ``order`` is the presort of ``X``. Each node of a level owns a range
         of every row of ``level``: row j < w holds the node's rows in
         (value, row) order by column j, as ``j * n + row``, and the last row
         holds them ascending. ``rank`` gives each range's place in level
-        order. When ``fitted`` is given, every leaf writes its value to the
-        training rows it holds, which equals the tree's prediction on them.
+        order.
         """
         n_classes = table.n_classes
         n, w = X.shape
@@ -336,20 +377,9 @@ class _TreeModel(Model):
                 node_feature[split] = feature[keep]
                 node_threshold[split] = threshold[keep]
                 value[split] = 0.0
-            # The table takes the level in level order; the children of
-            # the i-th split follow the level, at 2i and 2i + 1.
+            # The table takes the level in level order.
             slot = rank.argsort()
-            is_split = node_feature[slot] >= 0
-            splits_before = is_split.cumsum() - 1
-            left = np.where(
-                is_split, table.size + nodes + 2 * splits_before,
-                np.arange(table.size, table.size + nodes),
-            ).astype(np.int32)
-            table.add(node_feature[slot].astype(np.int32), node_threshold[slot], left,
-                      left + is_split, value[slot])
-            if fitted is not None:
-                # A split writes 0, which its children overwrite.
-                fitted[rows] = value.repeat(sizes)
+            splits_before = table.add(node_feature[slot], node_threshold[slot], value[slot])
             if not len(split):
                 return
             # One stable partition of the whole level: the left children's
@@ -530,13 +560,93 @@ class RandomForest(_TreeModel):
         return self._apply(self._inputs(X, proba=True), _tree_mean)
 
 
+def _bins(X: np.ndarray):
+    """Bin key of every cell, shape (n, w), each bin's lowest and highest training value, and ``bins``.
+
+    A column with at most ``_MAX_BINS`` distinct values gets one bin per
+    value. A wider one is cut into runs of consecutive distinct values
+    where a row-count quantile ``i * n / _MAX_BINS`` falls, so it too gets
+    at most ``_MAX_BINS`` bins. With ``bins`` the most bins of any column,
+    a cell of column j in bin b has key ``j * bins + b``, which also
+    indexes the returned ``lo`` and ``hi``; their entries past a column's
+    last bin are never read.
+    """
+    n, w = X.shape
+    keys = np.empty((n, w), dtype=np.intp)
+    lo, hi = np.zeros((2, w, _MAX_BINS))
+    bins = 1
+    for j, x in enumerate(X.T):
+        values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+        if len(values) > _MAX_BINS:
+            quantile = (counts.cumsum() - counts) * _MAX_BINS // n
+            of_value = np.concatenate([[0], (quantile[1:] != quantile[:-1]).cumsum()])
+        else:
+            of_value = np.arange(len(values))
+        keys[:, j] = of_value[inverse]
+        first = np.flatnonzero(np.diff(of_value, prepend=-1))
+        lo[j, : len(first)] = values[first]
+        hi[j, : len(first)] = values[np.append(first[1:], len(values)) - 1]
+        bins = max(bins, len(first))
+    keys += np.arange(0, w * bins, bins)
+    return keys, lo[:, :bins].ravel(), hi[:, :bins].ravel(), bins
+
+
+def _binned_splits(keys, rows, lo, hi, bins: int, node, c, nodes: int, min_leaf: int):
+    """(node, key, threshold) of each split of ``nodes`` nodes with a gain above ``_MIN_GAIN``.
+
+    Row ``rows[i]`` of ``keys`` (see ``_bins``) sits in node ``node[i]`` with
+    centered residual ``c[i]``. Two bincounts over (node, column, bin) give every
+    bin's residual sum and row count in a node, and cumulative sums along
+    the bins give the left side of every split. The split after bin b
+    sends the node's rows in bins up to b left; it is allowed when each
+    side holds ``min_leaf`` rows, and its gain is SL^2/nL + SR^2/nR - S^2/n.
+    The first maximum in (column, bin) order wins; an empty bin repeats
+    the gain of the bin before it, so the winner, whose key is returned,
+    is an occupied bin.
+    """
+    width = keys.shape[1] * bins
+    keys = keys.take(rows, axis=0)
+    keys += (node * width)[:, None]
+    left_n = np.bincount(keys.ravel(), minlength=nodes * width).reshape(-1, bins)
+    left_n = left_n.cumsum(axis=1, dtype=float)
+    left_s = np.bincount(keys.ravel(), c.repeat(keys.shape[1]), nodes * width)
+    left_s = left_s.reshape(-1, bins).cumsum(axis=1)
+    s, n = left_s[:, -1:], left_n[:, -1:]
+    right_s, right_n = s - left_s, n - left_n
+    gain = np.square(left_s)
+    gain /= np.maximum(left_n, 1)
+    np.square(right_s, out=right_s)
+    right_s /= np.maximum(right_n, 1)
+    gain += right_s
+    gain -= s * s / n
+    gain[(left_n < min_leaf) | (right_n < min_leaf)] = -np.inf
+    gain = gain.reshape(nodes, width)
+    key = gain.argmax(axis=1)
+    split = (gain[np.arange(nodes), key] > _MIN_GAIN).nonzero()[0]
+    key = key[split]
+    # The node's first occupied bin on the right is the first whose
+    # cumulative count passes the cut's.
+    row = left_n.reshape(nodes, -1, bins)[split, key // bins]
+    right = (row <= row[np.arange(len(split)), key % bins, None]).sum(axis=1)
+    return split, key, _thresholds(hi.take(key), lo.take(key - key % bins + right))
+
+
 class GradientBoosted(_TreeModel):
     """Stagewise regression trees on residuals, initialized at the mean.
 
-    Prediction is mean + learning_rate * sum of stage trees, so with one
-    stage and unit learning rate the model is exactly mean plus one CART
-    fitted on centered residuals. All stages share one presort of ``X``, and
-    each stage's values on the training rows come from its build.
+    Prediction is mean + learning_rate * sum of stage trees. The trees
+    split on binned columns (see the module docstring): ``fit`` bins each
+    column once, one bin per distinct value up to ``_MAX_BINS`` values and
+    row-count quantile runs of values beyond, and all stages share the
+    bins. Each level of a stage scores its nodes from a histogram of
+    residual sums and row counts per (node, column, bin), in runs of nodes
+    small enough that it holds no more cells than the level has keys. The
+    first largest gain in (column, bin) order wins. A threshold is the
+    midpoint between the last left bin's highest value and the lowest
+    value of the node's first occupied bin on the right, so on a column
+    with at most ``_MAX_BINS`` values it is the exact engine's. A leaf
+    holds the mean residual of its rows, and each stage's values on the
+    training rows come from its build.
     """
 
     method = "gbt"
@@ -562,14 +672,69 @@ class GradientBoosted(_TreeModel):
         X, y = self._fit_inputs(X, y)
         self.init_ = float(y.mean())
         current = np.full(len(y), self.init_)
-        order = _presort(X)
-        fitted = np.empty(len(y))
+        binned = _bins(X)
         table = _Table(0)
         for _ in range(self.n_stages):
-            self._grow(table, X, y - current, order, fitted=fitted)
-            current = current + self.learning_rate * fitted
+            current = current + self.learning_rate * self._grow_binned(table, *binned, y - current)
         self._store(table)
         return self
+
+    def _grow_binned(self, table: _Table, keys, lo, hi, bins: int, r) -> np.ndarray:
+        """Append one tree fitted to the residuals ``r``; return its values on the training rows.
+
+        ``rows`` holds the rows still in the tree and ``node`` the node each
+        sits in, in level order; the children of a level's i-th split are
+        nodes 2i and 2i + 1 of the next level. The nodes a level searches
+        are scored in runs whose histograms hold no more cells than the
+        level has keys, so memory stays flat at any depth.
+        """
+        n, w = keys.shape
+        max_depth = math.inf if self.max_depth is None else self.max_depth
+        smallest = max(self.min_samples_split, 2 * self.min_samples_leaf)
+        rows, node, nodes = np.arange(n), np.zeros(n, dtype=np.intp), 1
+        fitted = np.empty(n)
+        table.roots.append(table.size)
+        depth = 0
+        while True:
+            c = r.take(rows)
+            sizes = np.bincount(node, minlength=nodes)
+            value = np.bincount(node, c, nodes) / sizes
+            mean = value.take(node)
+            fitted[rows] = mean  # a split's children overwrite its rows
+            feature = np.full(nodes, -1)
+            threshold, cut = np.full(nodes, math.nan), np.zeros(nodes, dtype=np.intp)
+            if depth < max_depth and w:
+                # Residuals less their node's mean: the gains are the same, and
+                # the cumulative sums of a node stay near 0.
+                c -= mean
+                scored = (sizes >= smallest) & (np.bincount(node, c * c, nodes) > _MIN_GAIN)
+                searched = scored.nonzero()[0]
+                local = (scored.cumsum() - 1).take(node)
+                scan = scored.take(node)
+                step = max(1, int(scan.sum()) // bins)
+                for a in range(0, len(searched), step):
+                    if step < len(searched):
+                        part = scan & (local >= a) & (local < a + step)
+                    else:
+                        part = scan
+                    split, key, t = _binned_splits(
+                        keys, rows.compress(part), lo, hi, bins,
+                        local.compress(part) - a, c.compress(part),
+                        min(step, len(searched) - a), self.min_samples_leaf,
+                    )
+                    split = searched[a + split]
+                    feature[split], cut[split], threshold[split] = key // bins, key, t
+            is_split = feature >= 0
+            value[is_split] = 0.0
+            before = table.add(feature, threshold, value)
+            if not is_split.any():
+                return fitted
+            depth += 1
+            keep = is_split.take(node)
+            rows, node = rows.compress(keep), node.compress(keep)
+            right = keys.ravel().take(rows * w + feature.take(node)) > cut.take(node)
+            node = 2 * before.take(node) + right
+            nodes = 2 * int(is_split.sum())
 
     def predict(self, X) -> np.ndarray:
         return self._apply(self._inputs(X), self._stage_sum)

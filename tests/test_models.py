@@ -180,6 +180,16 @@ class TestPoissonGLM:
         with pytest.raises(TaskError):
             PoissonGLM().fit(np.zeros((3, 1)), [-1.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("offset", [[0.0], [0.0, 1.0, 2.0]])
+    def test_predict_offset_must_match_the_rows(self, offset):
+        """A short offset neither broadcasts over the rows nor fails inside numpy."""
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(20, 2))
+        m = PoissonGLM().fit(X, rng.poisson(2.0, 20).astype(float))
+        with pytest.raises(ConfigurationError, match="offset length"):
+            m.predict(X[:5], offset=offset)
+        assert m.predict(X[:5], offset=np.zeros(5)).shape == (5,)
+
 
 class TestKnn:
     def test_k1_reproduces_training_labels(self):

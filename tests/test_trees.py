@@ -1,12 +1,14 @@
-"""The level-wise tree engine against a per-node, per-feature oracle.
+"""The tree engines against per-node oracles.
 
-The oracle is the earlier split search: every node sorts each feature of
-its own rows with a stable sort and scans one feature at a time, and
-builds nested dicts, depth first for CART and boosting. Forest trees are
+The CART and forest oracle is the earlier split search: every node sorts
+each feature of its own rows with a stable sort and scans one feature at
+a time, and builds nested dicts, depth first for CART. Forest trees are
 built from a queue of nodes, level by level, under the forest's feature
 draw rule. Each fitted tree is rebuilt as nested dicts from the model's
 node table, and trees are compared as JSON, so a threshold, a leaf value
-or a key order that moves by one bit shows up. The flat, level-by-level
+or a key order that moves by one bit shows up. Boosted trees split on
+binned columns; each of their splits is checked against a brute-force
+search over every exact candidate of its node. The flat, level-by-level
 predict is checked against a recursive walk of those dicts.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from tabcash.models import Cart, GradientBoosted, RandomForest, trees
-from tabcash.models.trees import _MIN_GAIN, _dense_ranks, _presort, _Table
+from tabcash.models.trees import _MIN_GAIN, _bins, _dense_ranks, _presort, _Table
 
 
 # The oracle's leaf value and node impurity, summed per node as the
@@ -305,21 +307,134 @@ def test_forest_trees_match_oracle(kind, table, min_leaf):
         assert as_json(nested(forest, t)) == as_json(want)
 
 
+def gain(v, go_left):
+    """Drop in squared error when ``v`` splits into ``go_left`` and the rest, on centered values."""
+    c = v - v.mean()
+    sl, nl = c[go_left].sum(), go_left.sum()
+    s, n = c.sum(), len(c)
+    return sl * sl / nl + (s - sl) ** 2 / (n - nl) - s * s / n
+
+
+def oracle_best_gain(X, r, min_leaf):
+    """Best gain over every exact candidate split of every column, by brute force."""
+    best = -math.inf
+    for x in X.T:
+        values = np.unique(x)
+        for lo, hi in zip(values[:-1], values[1:]):
+            go_left = x <= lo
+            if min_leaf <= go_left.sum() <= len(x) - min_leaf:
+                best = max(best, gain(r, go_left))
+    return best
+
+
+def tree_nodes(model, t, X):
+    """(node, depth, rows of ``X`` that reach it) for every node of tree ``t``."""
+    found, stack = [], [(int(model.roots_[t]), 0, np.arange(len(X)))]
+    while stack:
+        i, depth, rows = stack.pop()
+        found.append((i, depth, rows))
+        if model.left_[i] != i:
+            go_left = X[rows, model.feature_[i]] <= model.threshold_[i]
+            stack += [(model.left_[i], depth + 1, rows[go_left]),
+                      (model.right_[i], depth + 1, rows[~go_left])]
+    return found
+
+
+def midpoint(lo, hi):
+    """The exact engine's threshold between neighbouring values (Python floats: no warnings)."""
+    mid = 0.5 * (float(lo) + float(hi))
+    return mid if mid < hi else float(lo)
+
+
+def check_boosting(gbt, X, y, max_depth, min_leaf, exact):
+    """The gates on boosted trees, stage by stage.
+
+    Always: each side of a split holds ``min_samples_leaf`` rows, each
+    threshold lies between the node's largest left value and smallest
+    right value, leaves hold their rows' mean residual, and ``predict`` is
+    the stage-by-stage sum. With ``exact`` (every column has at most
+    ``_MAX_BINS`` distinct values), each split's gain is the brute-force
+    best gain up to 1e-9 of the node's squared error, no leaf that could
+    split has a better gain than ``_MIN_GAIN`` by more, and each threshold
+    is the exact engine's node midpoint. Returns, per column, the
+    (largest left, smallest right) value pair of each split on it.
+    """
+    current = np.full(len(y), y.mean())
+    used = [[] for _ in range(X.shape[1])]
+    for t in range(gbt.n_stages):
+        r = y - current
+        for i, depth, rows in tree_nodes(gbt, t, X):
+            v = r[rows]
+            sse = float(((v - v.mean()) ** 2).sum())
+            if gbt.left_[i] == i:
+                assert gbt.value_[i] == pytest.approx(v.mean(), rel=1e-12, abs=1e-12)
+                if exact and depth < max_depth and len(rows) >= 2 * min_leaf:
+                    assert oracle_best_gain(X[rows], v, min_leaf) <= _MIN_GAIN + 1e-9 * sse
+                continue
+            j, threshold = gbt.feature_[i], gbt.threshold_[i]
+            x = X[rows, j]
+            go_left = x <= threshold
+            assert min_leaf <= go_left.sum() <= len(rows) - min_leaf
+            lo, hi = x[go_left].max(), x[~go_left].min()
+            assert lo <= threshold < hi
+            used[j].append((lo, hi))
+            if exact:
+                assert threshold == midpoint(lo, hi)
+                best = oracle_best_gain(X[rows], v, min_leaf)
+                assert gain(v, go_left) > _MIN_GAIN
+                assert best - gain(v, go_left) <= 1e-9 * sse
+        current = current + gbt.learning_rate * oracle_predict(nested(gbt, t), X)
+    assert np.array_equal(gbt.predict(X), current)
+    return used
+
+
 @pytest.mark.parametrize("table", sorted(TABLES))
 @pytest.mark.parametrize("kind", ["poisson", "residual"])
 @pytest.mark.parametrize("depth,min_leaf", [(2, 1), (3, 5), (None, 3)])
 def test_boosted_trees_match_oracle(kind, table, depth, min_leaf):
+    """Each boosted split is the best one a brute-force search finds, with its exact threshold.
+
+    Binned columns hold one bin per value here. The depth-first exact
+    engine is no oracle bit for bit: sums are rounded in another order, so
+    mirrored columns tie either way and leaf values move by an ulp.
+    """
     X, y = case(table, kind, 7)
+    assert all(len(np.unique(x)) <= trees._MAX_BINS for x in X.T)
     gbt = GradientBoosted(
         n_stages=6, learning_rate=0.3, max_depth=depth, min_samples_leaf=min_leaf
     ).fit(X, y)
-    current = np.full(len(y), y.mean())
     assert len(gbt.roots_) == 6
-    for t in range(6):
-        want = OracleBuilder(0, depth, 2, min_leaf).build(X, y - current)
-        assert as_json(nested(gbt, t)) == as_json(want)
-        current = current + 0.3 * oracle_predict(want, X)
-    assert np.array_equal(gbt.predict(X), current)
+    check_boosting(gbt, X, y, math.inf if depth is None else depth, min_leaf, exact=True)
+
+
+def quantile_bins(x):
+    """Bin of each distinct value of a column wider than ``_MAX_BINS``: runs cut at row-count quantiles."""
+    values, counts = np.unique(x, return_counts=True)
+    quantile = (counts.cumsum() - counts) * trees._MAX_BINS // len(x)
+    return values, np.unique(quantile, return_inverse=True)[1]
+
+
+@pytest.mark.parametrize("depth,min_leaf", [(6, 2), (None, 1), (None, 4)])
+def test_boosted_wide_columns_split_at_bin_edges(depth, min_leaf):
+    """A column with more distinct values than bins splits only between its quantile bins.
+
+    No split leaves a bin's rows on both sides, so the splits on the
+    1,200-value column use at most 254 distinct bin edges. The thresholds
+    themselves are node midpoints: the node's first occupied bin on the
+    right need not be the next bin, so one edge can carry several.
+    """
+    rng = np.random.default_rng(16)
+    X = np.column_stack([rng.normal(size=1200), rng.integers(0, 5, 1200), rng.normal(size=1200)])
+    X[:, 2] = X[:, 2].round(1)  # about 70 distinct values
+    y = X[:, 0] + np.sin(3 * X[:, 2]) + rng.normal(size=1200) / 4
+    gbt = GradientBoosted(n_stages=6, learning_rate=0.5, max_depth=depth,
+                          min_samples_leaf=min_leaf).fit(X, y)
+    used = check_boosting(gbt, X, y, math.inf if depth is None else depth, min_leaf, exact=False)
+    values, bin_of = quantile_bins(X[:, 0])
+    assert len(values) > trees._MAX_BINS and bin_of.max() < trees._MAX_BINS
+    left, right = (bin_of[np.searchsorted(values, side)] for side in zip(*used[0]))
+    assert (left < right).all()
+    assert 20 < len(set(left.tolist())) <= trees._MAX_BINS - 1
 
 
 @pytest.mark.parametrize("block", [16, 300, 1 << 12])
@@ -356,12 +471,10 @@ def test_mirrored_columns_keep_the_partition_tie_order(seed):
 def test_boosted_training_values_are_predictions():
     """The leaf values a build writes for its rows are what ``predict`` returns."""
     X, y = case("grid", "residual", 8)
-    order = np.argsort(X.T, axis=1, kind="stable")
-    fitted = np.full(len(y), np.nan)
-    tree = Cart("regression", max_depth=4)
+    tree = GradientBoosted(n_stages=1, learning_rate=1.0, max_depth=4)
     table = _Table(0)
-    tree._grow(table, X, y, order, fitted=fitted)
-    tree.n_features_ = X.shape[1]
+    fitted = tree._grow_binned(table, *_bins(X), y)
+    tree.init_, tree.n_features_ = 0.0, X.shape[1]
     tree._store(table)
     assert np.array_equal(fitted, tree.predict(X))
     assert np.array_equal(fitted, oracle_predict(nested(tree), X))
@@ -569,3 +682,24 @@ def test_forest_fit_memory_stays_flat():
         tracemalloc.stop()
     assert peak < 2.3e6
 
+
+def test_deep_boosting_memory_stays_flat():
+    """Peak traced memory of a 3,200x8 boosted fit: 2 stages grown to leaves of one row.
+
+    The binned grower reads 1.99 MB (numpy 2.4, Python 3.11); the bound is
+    that plus 25%. Its deepest levels hold over a thousand nodes: scoring
+    all of a level's nodes in one histogram of every node, column and bin
+    reads 12.7 MB.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(3200, 8))
+    y = rng.poisson(np.exp(0.3 * X[:, 0] - 0.2 * X[:, 1])).astype(float)
+    gbt = GradientBoosted(n_stages=2, max_depth=None)
+    tracemalloc.start()
+    try:
+        gbt.fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gbt._levels > 20
+    assert peak < 2.49e6
