@@ -181,15 +181,18 @@ def _load_data(config: ExperimentConfig) -> tuple[Dataset, Dataset | None, metri
     return train, _load_test(config, train), metric
 
 
+def _load_under_schema(path, schema, missing_tokens, response_column=None, task=None) -> Dataset:
+    """Load a CSV for a fitted model; each fitted column keeps its fit-time kind."""
+    header = set(read_csv_header(path))
+    kinds = {c.name: c.kind for c in schema if c.name in header}
+    return load_csv(path, response_column, missing_tokens, task=task, column_kinds=kinds)
+
+
 def _load_test(config: ExperimentConfig, train: Dataset) -> Dataset | None:
     if not config.test_path:
         return None
-    test = load_csv(
-        config.test_path,
-        config.response_column,
-        missing_tokens=config.missing_tokens,
-        task=train.task,
-        column_kinds=config.column_kinds,
+    test = _load_under_schema(
+        config.test_path, train.schema, config.missing_tokens, config.response_column, train.task
     )
     if not train.is_classification():
         return test
@@ -334,11 +337,9 @@ def cmd_fit(config: ExperimentConfig) -> int:
     splits = {"train": train} if test is None else {"train": train, "test": test}
     report = {}
     for split_name, dataset in splits.items():
-        X = dataset.X
-        if dataset.feature_names != train.feature_names:
-            X, ignored = model.align(dataset)
-            if ignored:
-                logger.warning("ignoring unknown test columns: %s", ignored)
+        X, ignored = model.align(dataset)
+        if ignored:
+            logger.warning("ignoring unknown test columns: %s", ignored)
         bundle = model.predict_bundle(X)
         report[split_name] = _report(dataset, bundle)
         _write_predictions(out_dir / f"predictions_{split_name}.csv", bundle, train.labels)
@@ -349,20 +350,8 @@ def cmd_fit(config: ExperimentConfig) -> int:
 
 def cmd_predict(model_path, data_path, output_path) -> int:
     model = ensemble_mod.load_model(model_path)
-    # Reload columns under the kinds and missing tokens frozen at fit time,
-    # so a column forced categorical does not re-infer as numeric here and
-    # a fit-time missing token is not read as a value.
-    header = set(read_csv_header(data_path))
-    kinds = {c.name: c.kind for c in model.feature_schema if c.name in header}
-    data = load_csv(
-        data_path,
-        response_column=None,
-        missing_tokens=(
-            DEFAULT_MISSING_TOKENS if model.missing_tokens is None else model.missing_tokens
-        ),
-        column_kinds=kinds,
-    )
-    X, ignored = model.align(data)
+    tokens = DEFAULT_MISSING_TOKENS if model.missing_tokens is None else model.missing_tokens
+    X, ignored = model.align(_load_under_schema(data_path, model.feature_schema, tokens))
     if ignored:
         print(f"warning: ignoring unknown columns {ignored}", file=sys.stderr)
     bundle = model.predict_bundle(X)

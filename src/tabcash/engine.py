@@ -5,6 +5,10 @@ only while evaluations and wall-clock time both remain, so total wall time
 can overshoot the time budget by at most the trials already in flight.
 Failed and invalid trials are recorded, never fatal; the winner is the
 valid trial with the lowest engine loss (ties go to the earlier trial).
+A trial keeps its losses, not its fitted pipelines: ``serve`` fits only
+the trials served (the winner, or a stacking ensemble's members) after
+the loop, outside the time budget and the per-trial timeout, so a k-fold
+trial's ``fit_seconds`` in ``timings.jsonl`` includes no all-row refit.
 
 With ``parallelism=1`` the whole search is a pure function of its seed.
 Under parallelism, sampling stays serialized in trial-index order against
@@ -21,6 +25,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +101,7 @@ class Protocol:
 
 @dataclass
 class TrialRecord:
-    """Outcome of one evaluation round."""
+    """Outcome of one evaluation round; ``pipeline`` is set once ``serve`` fits it."""
 
     k: int
     spec: PipelineSpec
@@ -105,6 +110,7 @@ class TrialRecord:
     reason: str = ""
     fit_seconds: float = 0.0
     fold_losses: list[float] | None = None
+    fit: partial | None = field(default=None, repr=False)
     pipeline: "TrainedPipeline | None" = None
 
     def to_json_line(self) -> str:
@@ -311,10 +317,17 @@ def fit_pipeline_on_rows(spec: PipelineSpec, dataset: Dataset, rows) -> TrainedP
     )
 
 
-def _loss_on_rows(pipeline: TrainedPipeline, dataset: Dataset, rows, metric: Metric) -> float:
-    rows = np.asarray(rows, dtype=int)
-    bundle = pipeline.predict_bundle(dataset.X[rows])
-    return metric.engine_loss(dataset.y[rows], bundle)
+def _failure(exc: Exception, k: int) -> tuple[str, str]:
+    """The status and reason trial ``k`` records for an exception; ``MemoryError`` propagates."""
+    if isinstance(exc, MemoryError):
+        raise exc
+    if isinstance(exc, (InvalidPredictionError, UndefinedMetricError)):
+        return INVALID, str(exc)
+    if isinstance(exc, (TabcashError, np.linalg.LinAlgError, FloatingPointError, ValueError)):
+        return FAILED, f"{type(exc).__name__}: {exc}"
+    # A bug in one trial must not end the search and lose its history.
+    logger.warning("trial %d raised an unexpected error", k, exc_info=True)
+    return FAILED, f"internal: {type(exc).__name__}: {exc}"
 
 
 def evaluate(
@@ -324,63 +337,69 @@ def evaluate(
     metric: Metric,
     k: int = 0,
 ) -> TrialRecord:
-    """Fit and score one spec under the given split / folds / none plan.
+    """Fit and score one spec on each (train rows, scored rows) part of a plan.
 
-    Fit failures become status ``failed``; metric validity violations
-    (nonpositive rates, one-class folds) become ``invalid``. Neither
-    interrupts the search loop. Any other ``Exception`` is recorded as
-    ``failed`` with reason ``internal: <Type>: <msg>`` and its traceback
-    logged; ``MemoryError`` and ``KeyboardInterrupt`` propagate.
+    Holdout has one part, ``None`` one (every row scored on itself), k-fold
+    one per fold; the loss is their mean. A valid record keeps how to fit
+    the pipeline it would serve, not the pipeline. Metric validity
+    violations (nonpositive rates, one-class folds) make a trial
+    ``invalid`` and fit errors ``failed``; neither interrupts the search.
     """
     started = time.monotonic()
     record = TrialRecord(k=k, spec=spec, status=FAILED)
     try:
+        serve_rows = np.arange(dataset.n_rows)
         if isinstance(plan, FoldPlan):
-            fold_losses = []
-            for fold in range(plan.k):
-                train_rows, held_rows = plan.fold_indices(fold)
-                pipeline = fit_pipeline_on_rows(spec, dataset, train_rows)
-                fold_losses.append(_loss_on_rows(pipeline, dataset, held_rows, metric))
-            final = fit_pipeline_on_rows(spec, dataset, np.arange(dataset.n_rows))
-            record.status = VALID
-            record.eval_loss = float(np.mean(fold_losses))
-            record.fold_losses = [float(v) for v in fold_losses]
-            record.pipeline = final
+            parts = [plan.fold_indices(fold) for fold in range(plan.k)]
         elif isinstance(plan, Split):
-            pipeline = fit_pipeline_on_rows(spec, dataset, plan.train_indices)
-            loss = _loss_on_rows(pipeline, dataset, plan.valid_indices, metric)
-            record.status = VALID
-            record.eval_loss = float(loss)
-            record.pipeline = pipeline
+            parts, serve_rows = [(plan.train_indices, plan.valid_indices)], plan.train_indices
         elif plan is None:
-            rows = np.arange(dataset.n_rows)
-            pipeline = fit_pipeline_on_rows(spec, dataset, rows)
-            loss = _loss_on_rows(pipeline, dataset, rows, metric)
-            record.status = VALID
-            record.eval_loss = float(loss)
-            record.pipeline = pipeline
+            parts = [(serve_rows, serve_rows)]
         else:
             raise ConfigurationError(f"unknown evaluation plan {type(plan).__name__}")
-    except (InvalidPredictionError, UndefinedMetricError) as exc:
-        record.status = INVALID
-        record.reason = str(exc)
-    except (TabcashError, np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
-        record.status = FAILED
-        record.reason = f"{type(exc).__name__}: {exc}"
-    except MemoryError:
-        raise
+        losses = []
+        for train, scored in parts:
+            bundle = fit_pipeline_on_rows(spec, dataset, train).predict_bundle(dataset.X[scored])
+            losses.append(metric.engine_loss(dataset.y[scored], bundle))
+        if isinstance(plan, FoldPlan):
+            record.fold_losses = [float(v) for v in losses]
+        loss = float(np.mean(losses))
+        if not np.isfinite(loss):
+            raise InvalidPredictionError("non-finite evaluation loss")
+        record.status = VALID
+        record.eval_loss = loss
+        record.fit = partial(fit_pipeline_on_rows, spec, dataset, serve_rows)
     except Exception as exc:
-        # A bug in one trial must not end the search and lose its history.
-        logger.warning("trial %d raised an unexpected error", k, exc_info=True)
-        record.status = FAILED
-        record.reason = f"internal: {type(exc).__name__}: {exc}"
-    if not np.isfinite(record.eval_loss if record.eval_loss is not None else 0.0):
-        record.status = INVALID
-        record.reason = record.reason or "non-finite evaluation loss"
-        record.eval_loss = None
-        record.pipeline = None
+        record.status, record.reason = _failure(exc, k)
     record.fit_seconds = time.monotonic() - started
     return record
+
+
+def _ranked(history) -> list[TrialRecord]:
+    """The valid trials, best first: by loss, ties to the earlier trial."""
+    return sorted((t for t in history if t.status == VALID), key=lambda t: (t.eval_loss, t.k))
+
+
+def serve(history, n: int) -> list[TrialRecord]:
+    """Fit the ``n`` best valid trials, in rank order, and return their records.
+
+    Each fit is cached on its record, stamped with the trial index, so a
+    trial served twice is fitted once. A trial whose fit fails becomes
+    ``failed`` with its reason, and the next valid trial takes its place.
+    """
+    served = []
+    for record in _ranked(history):
+        if len(served) == n:
+            break
+        try:
+            record.pipeline = record.pipeline or record.fit()
+        except Exception as exc:
+            record.status, record.reason = _failure(exc, record.k)
+            record.eval_loss = record.fold_losses = None
+            continue
+        record.pipeline.trial = record.k
+        served.append(record)
+    return served
 
 
 @dataclass
@@ -390,13 +409,6 @@ class SearchResult:
     history: list[TrialRecord]
     elapsed_seconds: float
     protocol: Protocol = field(default=Protocol())
-
-
-def _best_valid(history) -> TrialRecord | None:
-    valid = [t for t in history if t.status == VALID]
-    if not valid:
-        return None
-    return min(valid, key=lambda t: (t.eval_loss, t.k))
 
 
 def incumbent_curve(history) -> list[tuple[int, float]]:
@@ -430,7 +442,8 @@ def optimize(
 
     ``trial_timeout`` defaults to ten times the per-trial share of the time
     budget; a trial that overruns it is recorded as failed-by-timeout (the
-    check is cooperative, applied when the trial finishes).
+    check is cooperative, applied when the trial finishes). ``serve`` fits
+    the best after the loop, outside the time budget and the timeout.
     """
     if metric is None:
         raise ConfigurationError("optimize requires a metric")
@@ -457,7 +470,6 @@ def optimize(
                 f"(limit {trial_timeout:.3f}s)"
             )
             record.eval_loss = None
-            record.pipeline = None
         return record
 
     if parallelism == 1:
@@ -488,7 +500,7 @@ def optimize(
 
     history = sorted(completed, key=lambda t: t.k)
     elapsed = time.monotonic() - start
-    best = _best_valid(history)
+    best = next(iter(serve(history, 1)), None)
     if best is None:
         raise OptimizationError(
             f"no valid trial among {len(history)} executed",
@@ -502,7 +514,6 @@ def optimize(
         best.eval_loss,
         elapsed,
     )
-    best.pipeline.trial = best.k
     return SearchResult(
         best=best.pipeline,
         best_k=best.k,
@@ -538,14 +549,14 @@ def persist_history(
                 fh.write(
                     json.dumps({"k": rec.k, "fit_seconds": rec.fit_seconds}) + "\n"
                 )
-        best_record = _best_valid(records)
+        ranked = _ranked(records)
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "experiment": experiment,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "config": config,
             "n_trials": len(records),
-            "best_k": None if best_record is None else best_record.k,
+            "best_k": ranked[0].k if ranked else None,
             "budget_consumed": {
                 "evaluations": len(records),
                 "seconds": elapsed_seconds

@@ -1,6 +1,6 @@
 """Pipeline ensembles: stacking, bagging over feature subsets, boosting.
 
-Stacking reuses the top pipelines of a finished search, no refitting.
+Stacking fits the top trials of a finished search once each, after it.
 Bagging runs an independent search per random feature subset with budgets
 split across subsets, and each member only ever sees its own columns.
 Boosting (regression only) chains searches on residual responses, and its
@@ -32,6 +32,7 @@ from .engine import (
     missing_tokens_from_json,
     optimize,
     schema_from_json,
+    serve,
 )
 from .errors import (
     ConfigurationError,
@@ -209,20 +210,18 @@ class EnsembleModel:
 
 
 def build_stacking(history, n_members: int, voting: str | None = None) -> EnsembleModel:
-    """Stack the top pipelines of a finished search, ranked by (loss, k)."""
+    """Stack the ``n_members`` best trials of a finished search, served by ``serve``."""
     if n_members < 1:
         raise ConfigurationError("ensemble size must be at least 1")
-    valid = [t for t in history if t.status == "valid" and t.pipeline is not None]
-    if not valid:
+    ranked = serve(history, n_members)
+    if not ranked:
         raise EnsembleError("no valid pipelines available for stacking")
-    if len(valid) < n_members:
+    if len(ranked) < n_members:
         logger.warning(
             "only %d valid pipelines available, shrinking ensemble from %d",
-            len(valid),
+            len(ranked),
             n_members,
         )
-        n_members = len(valid)
-    ranked = sorted(valid, key=lambda t: (t.eval_loss, t.k))[:n_members]
     members = [
         EnsembleMember(pipeline=t.pipeline, tag=rank)
         for rank, t in enumerate(ranked, start=1)

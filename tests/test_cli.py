@@ -217,6 +217,40 @@ class TestFit:
         assert (tmp_path / "runs" / "exp" / "predictions_test.csv").exists()
 
 
+    def _fit_with_test_file(self, tmp_path, test_rows):
+        """Fit onehot + ridge with a test file; return its fit and predict outputs."""
+        rng = np.random.default_rng(21)
+        c = rng.choice(["1", "2", "x"], size=200)
+        a = rng.normal(size=200)
+        y = a + np.select([c == "1", c == "2"], [1.0, -1.0], 3.0) + rng.normal(0, 0.1, 200)
+        rows = [f"{float(a[i])!r},{c[i]},{float(y[i])!r}" for i in range(200)]
+        (tmp_path / "train.csv").write_text("\n".join(["a,c,response"] + rows) + "\n")
+        (tmp_path / "test.csv").write_text("\n".join(["a,c,response"] + test_rows) + "\n")
+        space = {"encode": {"methods": ["onehot"]}, "model": {"methods": ["ridge"]}}
+        cfg = write_config(tmp_path, test_path=str(tmp_path / "test.csv"), space=space)
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        out = tmp_path / "preds.csv"
+        model = tmp_path / "runs" / "exp" / "model.json"
+        assert main(["predict", "--model", str(model), "--data", str(tmp_path / "test.csv"),
+                     "--output", str(out)]) == EXIT_OK
+        report = json.loads((tmp_path / "runs" / "exp" / "report.json").read_text())
+        fitted = (tmp_path / "runs" / "exp" / "predictions_test.csv").read_text()
+        return report, fitted, out.read_text()
+
+    def test_test_file_keeps_the_train_column_kinds(self, tmp_path):
+        # The test file holds only levels that look like numbers; read on its
+        # own, its column would infer numeric and encode every cell as unseen.
+        rows = [f"0.5,{level},{0.5 + (1.0 if level == '1' else -1.0)!r}" for level in "1212"]
+        report, fitted, predicted = self._fit_with_test_file(tmp_path, rows)
+        assert fitted == predicted
+        assert report["test"]["mse"] < 0.1
+
+    def test_test_file_text_in_a_numeric_column_is_missing(self, tmp_path):
+        rows = ["oops,1,1.0", "0.5,2,-0.5", "0.1,x,3.1"]
+        _, fitted, predicted = self._fit_with_test_file(tmp_path, rows)
+        assert fitted == predicted
+
+
 class TestEnsembleStrategies:
     def test_bagging_fit_writes_group_histories(self, tmp_path, capsys):
         ds = generate(GeneratorSpec(kind="gaussian", n_rows=80, n_features=4, seed=8))

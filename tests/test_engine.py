@@ -15,11 +15,19 @@ from tabcash.engine import (
     optimize,
     persist_history,
     save_pipeline,
+    serve,
 )
-from tabcash.errors import ConfigurationError, FormatError, OptimizationError
+from tabcash.ensemble import build_stacking
+from tabcash.errors import (
+    ConfigurationError,
+    EnsembleError,
+    FitError,
+    FormatError,
+    OptimizationError,
+)
 from tabcash.metrics import get_metric
 from tabcash.space import PipelineSpec, StageChoice, default_space
-from tabcash.tabular import REGRESSION, split_dataset
+from tabcash.tabular import REGRESSION, make_folds, split_dataset
 
 
 def plain_spec(model="dummy", model_params=None, balance="none", balance_params=None, seed=7):
@@ -88,8 +96,9 @@ class TestEvaluate:
         assert record.status == "valid"
         assert len(record.fold_losses) == 4
         assert record.eval_loss == pytest.approx(float(np.mean(record.fold_losses)))
-        # refit pipeline saw every row: predicts the global mean
-        pred = record.pipeline.predict(regression_dataset.X)
+        assert record.pipeline is None
+        # the served pipeline saw every row: predicts the global mean
+        pred = serve([record], 1)[0].pipeline.predict(regression_dataset.X)
         assert pred[0] == pytest.approx(regression_dataset.y.mean())
 
     def test_balancing_only_on_training_rows(self):
@@ -104,8 +113,100 @@ class TestEvaluate:
         record = evaluate(spec, ds, split, get_metric("accuracy"))
         assert record.status == "valid"
         # pipeline prediction table is untouched; only fit-time rows resampled
-        bundle = record.pipeline.predict_bundle(ds.X)
+        bundle = serve([record], 1)[0].pipeline.predict_bundle(ds.X)
         assert len(bundle.values) == ds.n_rows
+
+
+def kfold_search(dataset):
+    space = default_space(REGRESSION, y=dataset.y, n_features=3)
+    space = space.replace_menu("model", ("dummy", "ridge", "knn"))
+    return optimize(
+        dataset,
+        space,
+        Budget(600.0, 6),
+        sampler="random",
+        metric=get_metric("mse"),
+        seed=3,
+        protocol=Protocol(mode="kfold", folds=3, seed=1),
+    )
+
+
+def watch_all_row_fits(monkeypatch, n_rows, failing=0):
+    """Record the fits on every row (k-fold's serving fits); the first ``failing`` raise."""
+    import tabcash.engine as engine
+
+    real = engine.fit_pipeline_on_rows
+    calls = []
+
+    def fit(spec, dataset, rows):
+        if len(rows) == n_rows:
+            calls.append(spec)
+            if len(calls) <= failing:
+                raise FitError("no fit on every row")
+        return real(spec, dataset, rows)
+
+    monkeypatch.setattr(engine, "fit_pipeline_on_rows", fit)
+    return calls
+
+
+class TestServe:
+    def test_served_state_equals_the_validation_or_all_row_fit(self, regression_dataset):
+        ds = regression_dataset
+        spec = plain_spec(model="knn", model_params={"k": 3})
+        split = split_dataset(ds, 0.0, 0.25, seed=1)
+        # (plan, the rows its served pipeline is fitted on): holdout, then k-fold
+        plans = [(split, split.train_indices), (make_folds(ds.n_rows, 4, seed=2), np.arange(ds.n_rows))]
+        for plan, rows in plans:
+            record = evaluate(spec, ds, plan, get_metric("mse"), k=5)
+            assert record.pipeline is None
+            [served] = serve([record], 1)
+            expected = fit_pipeline_on_rows(spec, ds, rows)
+            expected.trial = 5
+            assert json.dumps(served.pipeline.to_dict()) == json.dumps(expected.to_dict())
+
+    def test_kfold_search_fits_only_what_it_serves(self, regression_dataset, monkeypatch):
+        all_row_fits = watch_all_row_fits(monkeypatch, regression_dataset.n_rows)
+        result = kfold_search(regression_dataset)
+        assert len([t for t in result.history if t.status == "valid"]) >= 3
+        assert len(all_row_fits) == 1
+        assert [t.k for t in result.history if t.pipeline is not None] == [result.best_k]
+        model = build_stacking(result.history, 3)
+        assert len(all_row_fits) == 3
+        assert model.members[0].pipeline is result.best
+        ranked = sorted(
+            (t for t in result.history if t.status == "valid"), key=lambda t: (t.eval_loss, t.k)
+        )
+        assert [m.pipeline.trial for m in model.members] == [t.k for t in ranked[:3]]
+
+    def test_failed_serving_fit_gives_way_to_the_next_trial(
+        self, regression_dataset, monkeypatch, tmp_path
+    ):
+        ranked = [t.k for t in sorted(
+            (t for t in kfold_search(regression_dataset).history if t.status == "valid"),
+            key=lambda t: (t.eval_loss, t.k),
+        )]
+        watch_all_row_fits(monkeypatch, regression_dataset.n_rows, failing=1)
+        result = kfold_search(regression_dataset)
+        assert result.best_k == ranked[1]
+        persist_history(result.history, tmp_path, best=result.best)
+        lines = (tmp_path / "history.jsonl").read_text().splitlines()
+        top = json.loads(lines[ranked[0]])
+        assert (top["status"], top["loss"]) == ("failed", None)
+        assert top["reason"] == "FitError: no fit on every row"
+
+    def test_no_servable_trial_left_raises(self, regression_dataset, monkeypatch):
+        watch_all_row_fits(monkeypatch, regression_dataset.n_rows, failing=float("inf"))
+        with pytest.raises(OptimizationError) as err:
+            kfold_search(regression_dataset)
+        assert err.value.failures.get("FitError: no fit on every row", 0) >= 3
+        plan = make_folds(regression_dataset.n_rows, 3, seed=1)
+        history = [
+            evaluate(plain_spec(seed=k), regression_dataset, plan, get_metric("mse"), k=k)
+            for k in range(2)
+        ]
+        with pytest.raises(EnsembleError):
+            build_stacking(history, 2)
+        assert [t.status for t in history] == ["failed", "failed"]
 
 
 class TestTrainedPipeline:
