@@ -360,17 +360,22 @@ def cmd_predict(model_path, data_path, output_path) -> int:
     return EXIT_OK
 
 
-def _format_history_row(rec: dict, seconds: float | None) -> str:
-    spec = space_mod.PipelineSpec.from_dict(rec["spec"])
-    loss = "-" if rec["loss"] is None else f"{rec['loss']:.6g}"
+def _format_history_row(rec: engine.TrialRecord, seconds: float | None) -> str:
+    loss = "-" if rec.eval_loss is None else f"{rec.eval_loss:.6g}"
     time_s = "-" if seconds is None else f"{seconds:.2f}s"
     return (
-        f"k={rec['k']:<4d} status={rec['status']:<8s} loss={loss:<12s} "
-        f"time={time_s:<9s} {spec.summary()}"
+        f"k={rec.k:<4d} status={rec.status:<8s} loss={loss:<12s} "
+        f"time={time_s:<9s} {rec.spec.summary()}"
     )
 
 
-def _load_all_history(directory) -> tuple[list[dict], dict[int, float]]:
+def _load_all_history(directory) -> tuple[list[engine.TrialRecord], dict[int, float]]:
+    """Trial records of a search directory, or of its ``group_*`` searches in turn.
+
+    A group's trials are numbered on from the groups before it. Also
+    returns each trial's ``fit_seconds`` from the timings sidecar, where
+    the group has one.
+    """
     directory = Path(directory)
     if (directory / engine.HISTORY_FILE).exists():
         groups = [directory]
@@ -378,42 +383,38 @@ def _load_all_history(directory) -> tuple[list[dict], dict[int, float]]:
         groups = sorted(p for p in directory.glob("group_*") if p.is_dir())
         if not groups:
             raise FormatError(f"no history found under {directory}")
-    records: list[dict] = []
+    records: list[engine.TrialRecord] = []
     timings: dict[int, float] = {}
-    offset = 0
     for group in groups:
-        part = engine.load_history(group)
-        timing_path = group / engine.TIMINGS_FILE
+        offset = len(records)
         part_timings = {}
+        timing_path = group / engine.TIMINGS_FILE
         if timing_path.exists():
             with open(timing_path, encoding="utf-8") as fh:
                 for line in fh:
                     if line.strip():
                         t = json.loads(line)
                         part_timings[t["k"]] = t["fit_seconds"]
-        for rec in part:
-            timings[rec["k"] + offset] = part_timings.get(rec["k"])
-            rec = dict(rec)
-            rec["k"] = rec["k"] + offset
-            records.append(rec)
-        offset += len(part)
+        for rec in engine.load_history(group):
+            k = rec["k"] + offset
+            timings[k] = part_timings.get(rec["k"])
+            records.append(engine.TrialRecord(
+                k=k, spec=space_mod.PipelineSpec.from_dict(rec["spec"]), status=rec["status"],
+                eval_loss=rec["loss"], reason=rec["reason"], fold_losses=rec["fold_losses"],
+            ))
     return records, timings
 
 
 def cmd_history(directory, top: int = 10) -> int:
     records, timings = _load_all_history(directory)
-    valid = [r for r in records if r["status"] == "valid"]
-    ranked = sorted(valid, key=lambda r: (r["loss"], r["k"]))[:top]
+    valid = engine._ranked(records)
+    ranked = valid[:top]
     print(f"top {len(ranked)} of {len(valid)} valid trials ({len(records)} total):")
     for rec in ranked:
-        print("  " + _format_history_row(rec, timings.get(rec["k"])))
+        print("  " + _format_history_row(rec, timings.get(rec.k)))
     print("incumbent curve (trial -> best engine loss so far):")
-    best = None
-    for rec in sorted(records, key=lambda r: r["k"]):
-        if rec["status"] == "valid" and (best is None or rec["loss"] < best):
-            best = rec["loss"]
-        if best is not None:
-            print(f"  {rec['k']:>4d} {best:.6g}")
+    for k, best in engine.incumbent_curve(records):
+        print(f"  {k:>4d} {best:.6g}")
     return EXIT_OK
 
 
@@ -470,7 +471,10 @@ def cmd_glm_baseline(config: ExperimentConfig) -> int:
 
     report = {}
     for name, dataset in splits.items():
-        X = imputer.transform(encoder.transform(dataset.X))
+        X, ignored = engine.align(train.schema, dataset)
+        if ignored:
+            logger.warning("ignoring unknown %s columns: %s", name, ignored)
+        X = imputer.transform(encoder.transform(X))
         if counts:
             bundle = metrics.PredictionBundle.regression(model.predict(X, offset=offsets[name]))
         else:

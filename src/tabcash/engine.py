@@ -216,22 +216,7 @@ class TrainedPipeline:
         return self.predict_bundle(X).values
 
     def align(self, dataset: Dataset) -> tuple[np.ndarray, list[str]]:
-        """Project a dataset onto the fit-time columns by name.
-
-        Extra columns are ignored (reported back); a missing column is an
-        error naming it.
-        """
-        available = {c.name: j for j, c in enumerate(dataset.schema)}
-        cols = []
-        for schema in self.feature_schema:
-            if schema.name not in available:
-                raise ConfigurationError(
-                    f"input is missing feature column {schema.name!r}"
-                )
-            cols.append(available[schema.name])
-        ignored = [c.name for c in dataset.schema if c.name not in
-                   {s.name for s in self.feature_schema}]
-        return dataset.X[:, cols], ignored
+        return align(self.feature_schema, dataset)
 
     def to_dict(self) -> dict:
         return {
@@ -267,6 +252,23 @@ class TrainedPipeline:
             trial=d["trial"],
             missing_tokens=missing_tokens_from_json(d),
         )
+
+
+def align(feature_schema, dataset: Dataset) -> tuple[np.ndarray, list[str]]:
+    """Project a dataset onto the fit-time columns ``feature_schema`` by name.
+
+    Extra columns are ignored (reported back); a missing column is an
+    error naming it.
+    """
+    available = {c.name: j for j, c in enumerate(dataset.schema)}
+    cols = []
+    for schema in feature_schema:
+        if schema.name not in available:
+            raise ConfigurationError(f"input is missing feature column {schema.name!r}")
+        cols.append(available[schema.name])
+    ignored = [c.name for c in dataset.schema if c.name not in
+               {s.name for s in feature_schema}]
+    return dataset.X[:, cols], ignored
 
 
 def fit_pipeline_on_rows(spec: PipelineSpec, dataset: Dataset, rows) -> TrainedPipeline:

@@ -529,6 +529,55 @@ class TestHistoryCommand:
     def test_absent_history_exit_code(self, tmp_path):
         assert main(["history", "--dir", str(tmp_path)]) == EXIT_DATA
 
+    def test_group_histories_print_ranked_and_curve(self, tmp_path, capsys):
+        """Ranks ties to the earlier trial, numbers groups on, and shows "-" where a timing is missing."""
+        write_history_groups(tmp_path / "exp")
+        assert main(["history", "--dir", str(tmp_path / "exp"), "--top", "4"]) == EXIT_OK
+        rows = [
+            "k=7    status=valid    loss=0.125        time=-         {}knn",
+            "k=2    status=valid    loss=0.25         time=1.12s     {}cart",
+            "k=4    status=valid    loss=0.25         time=2.12s     {}random_forest",
+            "k=6    status=valid    loss=0.25         time=-         {}dummy",
+        ]
+        stages = "encode=onehot | impute=mean | balance=none | scale=none | select=none | model="
+        curve = [(1, "0.5")] + [(k, "0.25") for k in range(2, 7)] + [(7, "0.125"), (8, "0.125")]
+        assert capsys.readouterr().out == "".join(
+            ["top 4 of 6 valid trials (9 total):\n"]
+            + [f"  {row.format(stages)}\n" for row in rows]
+            + ["incumbent curve (trial -> best engine loss so far):\n"]
+            + [f"  {k:>4d} {loss}\n" for k, loss in curve]
+        )
+
+
+def _spec(model, seed):
+    methods = {"encode": "onehot", "impute": "mean", "balance": "none", "scale": "none",
+               "select": "none", "model": model}
+    return {"seed": seed, "stages": {s: {"method": m, "params": {}} for s, m in methods.items()}}
+
+
+def write_history_groups(root):
+    """Two group searches: tied losses within and across groups, failed and invalid trials."""
+    groups = {
+        "group_01": [("failed", None, "knn"), ("valid", 0.5, "ridge"), ("valid", 0.25, "cart"),
+                     ("invalid", None, "gbt"), ("valid", 0.25, "random_forest")],
+        "group_02": [("failed", None, "poisson_glm"), ("valid", 0.25, "dummy"),
+                     ("valid", 0.125, "knn"), ("valid", 0.75, "ridge")],
+    }
+    for g, (group, trials) in enumerate(groups.items()):
+        out = root / group
+        out.mkdir(parents=True)
+        lines, timings = [], []
+        for k, (status, loss, model) in enumerate(trials):
+            reason = "" if status == "valid" else f"{status}: trial {k}"
+            lines.append(json.dumps({
+                "schema_version": 1, "k": k, "status": status, "loss": loss, "reason": reason,
+                "fold_losses": None, "spec": _spec(model, k),
+            }, sort_keys=True))
+            timings.append(json.dumps({"k": k, "fit_seconds": 0.5 * k + 0.125}))
+        (out / "history.jsonl").write_text("\n".join(lines) + "\n")
+        if g == 0:  # the second group has no timings sidecar
+            (out / "timings.jsonl").write_text("\n".join(timings) + "\n")
+
 
 class TestGlmBaseline:
     def test_poisson_baseline_report(self, tmp_path, capsys):
@@ -586,6 +635,38 @@ class TestGlmBaseline:
         assert main(["glm-baseline", "--config", str(cfg)]) == EXIT_DATA
         assert "test.csv" in capsys.readouterr().err
         assert not (tmp_path / "runs" / "exp_glm" / "report.json").exists()
+
+    def _baseline_with_test_columns(self, tmp_path, header):
+        """Train on columns ``a,b``; test on the same rows with the columns in ``header``."""
+        rng = np.random.default_rng(11)
+        n = 200
+        cols = {"a": rng.normal(size=n), "b": rng.uniform(-1, 1, n), "c": rng.normal(size=n)}
+        cols["response"] = rng.poisson(np.exp(0.5 * cols["a"] - 1.0 * cols["b"]))
+
+        def write(name, names):
+            rows = [",".join(repr(float(cols[c][i])) if c != "response" else str(cols[c][i])
+                             for c in names) for i in range(n)]
+            (tmp_path / name).write_text("\n".join([",".join(names)] + rows) + "\n")
+
+        write("train.csv", ["a", "b", "response"])
+        write("test.csv", header)
+        cfg = write_config(tmp_path, objective="poisson_deviance", model_name="cols",
+                           test_path=str(tmp_path / "test.csv"))
+        return main(["glm-baseline", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("header", [["b", "a", "response"], ["response", "c", "b", "a"]],
+                             ids=["swapped", "extra"])
+    def test_test_columns_are_matched_by_name(self, tmp_path, header):
+        """The test file holds the train rows: in any column order, with or without extras, it reports the train figures."""
+        assert self._baseline_with_test_columns(tmp_path, header) == EXIT_OK
+        report = json.loads((tmp_path / "runs" / "cols_glm" / "report.json").read_text())
+        assert report["test"] == pytest.approx(report["train"], rel=1e-12)
+        assert report["test"]["poisson_deviance"] < 1.5
+
+    def test_missing_test_column_is_named(self, tmp_path, capsys):
+        assert self._baseline_with_test_columns(tmp_path, ["response", "b"]) == EXIT_CONFIG
+        assert "'a'" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "cols_glm" / "report.json").exists()
 
     def test_binary_baseline_uses_logistic(self, tmp_path):
         ds = generate(

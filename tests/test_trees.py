@@ -1,15 +1,15 @@
-"""The tree engines against per-node oracles.
+"""The tree grower against per-node oracles.
 
-The CART and forest oracle is the earlier split search: every node sorts
-each feature of its own rows with a stable sort and scans one feature at
-a time, and builds nested dicts, depth first for CART. Forest trees are
-built from a queue of nodes, level by level, under the forest's feature
-draw rule. Each fitted tree is rebuilt as nested dicts from the model's
-node table, and trees are compared as JSON, so a threshold, a leaf value
-or a key order that moves by one bit shows up. Boosted trees split on
-binned columns; each of their splits is checked against a brute-force
-search over every exact candidate of its node. The flat, level-by-level
-predict is checked against a recursive walk of those dicts.
+CART, forest and boosted trees all split on binned columns. Each of
+their splits is checked against a brute-force search over every exact
+candidate of its node: the depth-first oracle's per-column scan, which
+sorts a node's rows by one feature and scores every midpoint between
+distinct values. A forest tree is checked on its duplicated bootstrap
+sample, with each node's candidate columns replayed from the tree's
+generator. The tables hold at most 255 values per column, so every
+candidate is a bin edge and a split must be the best one up to rounding.
+The flat, level-by-level predict is checked against a recursive walk of
+the trees rebuilt as nested dicts.
 """
 
 import json
@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from tabcash.models import Cart, GradientBoosted, RandomForest, trees
-from tabcash.models.trees import _MIN_GAIN, _bins, _dense_ranks, _presort, _Table
+from tabcash.models.trees import _MIN_GAIN, _bins, _Table
 
 
-# The oracle's leaf value and node impurity, summed per node as the
-# depth-first engine summed them.
+# The oracle's leaf value and node impurity of a node's targets.
 
 
 def _leaf_payload(y, n_classes):
@@ -84,13 +83,11 @@ def oracle_split_feature(x, y, n_classes, min_leaf):
 
 
 class OracleBuilder:
-    def __init__(self, n_classes, max_depth, min_split, min_leaf, feature_sample=None, rng=None):
+    def __init__(self, n_classes, max_depth, min_split, min_leaf):
         self.n_classes = n_classes
         self.max_depth = math.inf if max_depth is None else max_depth
         self.min_split = min_split
         self.min_leaf = min_leaf
-        self.feature_sample = feature_sample
-        self.rng = rng
 
     def build(self, X, y, depth=0):
         n, w = X.shape
@@ -102,12 +99,8 @@ class OracleBuilder:
             or parent_cost <= _MIN_GAIN
         ):
             return {"leaf": _leaf_payload(y, self.n_classes)}
-        if self.feature_sample is not None and self.feature_sample < w:
-            features = np.sort(self.rng.choice(w, self.feature_sample, replace=False))
-        else:
-            features = np.arange(w)
         best = None
-        for j in features:
+        for j in range(w):
             found = oracle_split_feature(X[:, j], y, self.n_classes, self.min_leaf)
             if found is None:
                 continue
@@ -126,37 +119,82 @@ class OracleBuilder:
         }
 
 
-def oracle_queue_tree(X, y, n_classes, min_leaf, feature_sample, rng):
-    """A forest tree under the level draw rule, grown from a queue of nodes.
+def midpoint(lo, hi):
+    """The threshold between neighbouring values (Python floats: no warnings)."""
+    mid = 0.5 * (float(lo) + float(hi))
+    return mid if mid < hi else float(lo)
 
-    Each level draws one row of uniforms per node, in level order (left
-    child before right, parents in level order); a node's candidate
-    features are the sorted first ``feature_sample`` columns of its row's
-    stable argsort.
+
+def check_tree(model, t, X, y, n_classes, max_depth=None, min_split=2, min_leaf=1,
+               per_split=None, rng=None):
+    """The gates on tree ``t`` of a CART or forest grown on ``X``, ``y``, level by level.
+
+    For a forest, ``X`` and ``y`` are the tree's duplicated bootstrap
+    sample. A node may split when it is above ``max_depth``, holds
+    ``min_split`` and ``2 * min_leaf`` rows, and its impurity exceeds
+    ``_MIN_GAIN``. With ``rng``, a level where some node may split draws
+    one row of uniforms per node, in level order, and a node's candidate
+    columns are the sorted first ``per_split`` of its row's stable
+    argsort; otherwise every column is a candidate. Then:
+
+    - a leaf holds its rows' mean or class frequencies, within 1e-12, and
+      if it may split, the best candidate split gains no more than
+      ``_MIN_GAIN`` plus 1e-9 of the node's impurity;
+    - a split is on a candidate column, leaves ``min_leaf`` rows a side,
+      gains more than ``_MIN_GAIN``, and its children's impurity is within
+      1e-9 of the node's impurity of the brute-force best over the
+      candidate columns;
+    - its threshold is the exact midpoint between the node's largest left
+      and smallest right value.
     """
-    root = {}
-    level = [(root, np.arange(len(y)))]
+    max_depth = math.inf if max_depth is None else max_depth
+    w = X.shape[1]
+
+    def targets(rows):
+        """A node's targets; centered for regression, so impurities round relative to their size."""
+        v = y[rows]
+        return v if n_classes else v - v.mean()
+
+    def impurity(v):
+        return _node_cost(v, n_classes) if n_classes else float((v * v).sum())
+
+    level, depth = [(int(model.roots_[t]), np.arange(len(y)))], 0
     while level:
-        draws = rng.random((len(level), X.shape[1]))
+        costs = [impurity(targets(rows)) for _, rows in level]
+        may = [
+            depth < max_depth and len(rows) >= max(min_split, 2 * min_leaf) and cost > _MIN_GAIN
+            for (_, rows), cost in zip(level, costs)
+        ]
+        draws = None
+        if rng is not None and per_split < w and any(may):
+            draws = rng.random((len(level), w))
         below = []
-        for (node, rows), draw in zip(level, draws):
-            Xn, yn = X[rows], y[rows]
-            parent_cost = _node_cost(yn, n_classes)
-            best = None
-            if len(yn) >= 2 * min_leaf and parent_cost > _MIN_GAIN:
-                for j in np.sort(np.argsort(draw, kind="stable")[:feature_sample]):
-                    found = oracle_split_feature(Xn[:, j], yn, n_classes, min_leaf)
-                    if found is not None and (best is None or found[0] < best[0]):
-                        best = (found[0], int(j), found[1])
-            if best is None or parent_cost - best[0] <= _MIN_GAIN:
-                node["leaf"] = _leaf_payload(yn, n_classes)
+        for at, ((i, rows), cost) in enumerate(zip(level, costs)):
+            columns = np.arange(w)
+            if draws is not None:
+                columns = np.sort(np.argsort(draws[at], kind="stable")[:per_split])
+            v = targets(rows)
+            found = [oracle_split_feature(X[rows, j], v, n_classes, min_leaf)
+                     for j in columns] if may[at] else []
+            best = min((f[0] for f in found if f is not None), default=math.inf)
+            if model.left_[i] == i:
+                want = _leaf_payload(y[rows], n_classes)
+                assert model.value_[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                if may[at]:
+                    assert cost - best <= _MIN_GAIN + 1e-9 * cost
                 continue
-            _, j, threshold = best
-            go_left = Xn[:, j] <= threshold
-            node.update(feature=j, threshold=threshold, left={}, right={})
-            below += [(node["left"], rows[go_left]), (node["right"], rows[~go_left])]
-        level = below
-    return root
+            assert may[at]
+            j, threshold = model.feature_[i], model.threshold_[i]
+            assert j in columns
+            x = X[rows, j]
+            go_left = x <= threshold
+            assert min_leaf <= go_left.sum() <= len(rows) - min_leaf
+            split_cost = impurity(targets(rows[go_left])) + impurity(targets(rows[~go_left]))
+            assert cost - split_cost > _MIN_GAIN
+            assert split_cost - best <= 1e-9 * cost
+            assert threshold == midpoint(x[go_left].max(), x[~go_left].min())
+            below += [(model.left_[i], rows[go_left]), (model.right_[i], rows[~go_left])]
+        level, depth = below, depth + 1
 
 
 def oracle_predict(node, X):
@@ -261,18 +299,19 @@ CART_PARAMS = [
 ]
 
 
+def cart_args(params):
+    """The gate's (max_depth, min_split, min_leaf) for ``Cart`` keyword arguments."""
+    return (params.get("max_depth"), params.get("min_samples_split", 2),
+            params.get("min_samples_leaf", 1))
+
+
 @pytest.mark.parametrize("params", CART_PARAMS)
 @pytest.mark.parametrize("table", sorted(TABLES))
 @pytest.mark.parametrize("kind", ["poisson", "residual"])
 def test_regression_cart_matches_oracle(kind, table, params):
     for seed in range(3):
         X, y = case(table, kind, seed)
-        got = nested(Cart("regression", **params).fit(X, y))
-        want = oracle_cart(
-            X, y, 0, params.get("max_depth"), params.get("min_samples_split", 2),
-            params.get("min_samples_leaf", 1),
-        )
-        assert as_json(got) == as_json(want)
+        check_tree(Cart("regression", **params).fit(X, y), 0, X, y, 0, *cart_args(params))
 
 
 @pytest.mark.parametrize("params", CART_PARAMS)
@@ -282,12 +321,18 @@ def test_classification_cart_matches_oracle(kind, table, params):
     for seed in range(3):
         X, y = case(table, kind, seed)
         k = 3 if kind == "three" else 2
-        got = nested(Cart("classification", **params).fit(X, y, n_classes=k))
-        want = oracle_cart(
-            X, y, k, params.get("max_depth"), params.get("min_samples_split", 2),
-            params.get("min_samples_leaf", 1),
-        )
-        assert as_json(got) == as_json(want)
+        cart = Cart("classification", **params).fit(X, y, n_classes=k)
+        check_tree(cart, 0, X, y, k, *cart_args(params))
+
+
+def check_forest(forest, X, y, n_classes, min_leaf):
+    """Gate each tree of a bootstrap forest on its duplicated sample, replaying its generator."""
+    per_split = math.ceil(math.sqrt(X.shape[1]))
+    for t in range(forest.n_trees):
+        rng = np.random.default_rng(forest.seed + t)
+        rows = rng.integers(0, len(X), len(X))
+        check_tree(forest, t, X[rows], y[rows], n_classes, forest.max_depth, 2, min_leaf,
+                   per_split, rng)
 
 
 @pytest.mark.parametrize("table", sorted(TABLES))
@@ -298,13 +343,38 @@ def test_forest_trees_match_oracle(kind, table, min_leaf):
     task, k = ("classification", 3) if kind == "three" else ("regression", 0)
     forest = RandomForest(task, n_trees=4, min_samples_leaf=min_leaf, seed=11)
     forest.fit(X, y, n_classes=k or None)
-    per_split = math.ceil(math.sqrt(X.shape[1]))
     assert len(forest.roots_) == 4
-    for t in range(4):
-        rng = np.random.default_rng(11 + t)
-        rows = rng.integers(0, len(X), len(X))
-        want = oracle_queue_tree(X[rows], y[rows], k, min_leaf, per_split, rng)
-        assert as_json(nested(forest, t)) == as_json(want)
+    check_forest(forest, X, y, k, min_leaf)
+
+
+def same_tree(got, want):
+    """Nested trees equal node for node in feature and threshold, leaf values within 1e-12."""
+    if "leaf" in want:
+        assert "leaf" in got
+        assert got["leaf"] == pytest.approx(want["leaf"], rel=1e-12, abs=1e-12)
+        return
+    assert (got.get("feature"), got.get("threshold")) == (want["feature"], want["threshold"])
+    same_tree(got["left"], want["left"])
+    same_tree(got["right"], want["right"])
+
+
+@pytest.mark.parametrize("kind", ["residual", "three"])
+@pytest.mark.parametrize("min_leaf", [1, 4])
+def test_bootstrap_weights_are_the_duplicated_sample(kind, min_leaf):
+    """A forest tree weighs each drawn row by its draw count: it is CART on the duplicated sample.
+
+    Continuous columns with no ties or mirrors between them, so no two
+    candidate splits tie up to the rounding that weighted sums change.
+    """
+    X, y = case("continuous", kind, 17, n=200)
+    task, k = ("classification", 3) if kind == "three" else ("regression", 0)
+    forest = RandomForest(task, n_trees=5, min_samples_leaf=min_leaf, feature_subsample=False,
+                          seed=21).fit(X, y, n_classes=k or None)
+    for t in range(5):
+        rows = np.random.default_rng(21 + t).integers(0, len(X), len(X))
+        cart = Cart(task, min_samples_leaf=min_leaf).fit(X[rows], y[rows], n_classes=k or None)
+        assert (forest.feature_ >= 0).sum() > 10 * (t + 1)
+        same_tree(nested(forest, t), nested(cart))
 
 
 def gain(v, go_left):
@@ -340,12 +410,6 @@ def tree_nodes(model, t, X):
     return found
 
 
-def midpoint(lo, hi):
-    """The exact engine's threshold between neighbouring values (Python floats: no warnings)."""
-    mid = 0.5 * (float(lo) + float(hi))
-    return mid if mid < hi else float(lo)
-
-
 def check_boosting(gbt, X, y, max_depth, min_leaf, exact):
     """The gates on boosted trees, stage by stage.
 
@@ -356,7 +420,7 @@ def check_boosting(gbt, X, y, max_depth, min_leaf, exact):
     ``_MAX_BINS`` distinct values), each split's gain is the brute-force
     best gain up to 1e-9 of the node's squared error, no leaf that could
     split has a better gain than ``_MIN_GAIN`` by more, and each threshold
-    is the exact engine's node midpoint. Returns, per column, the
+    is the exact midpoint of its node. Returns, per column, the
     (largest left, smallest right) value pair of each split on it.
     """
     current = np.full(len(y), y.mean())
@@ -394,9 +458,9 @@ def check_boosting(gbt, X, y, max_depth, min_leaf, exact):
 def test_boosted_trees_match_oracle(kind, table, depth, min_leaf):
     """Each boosted split is the best one a brute-force search finds, with its exact threshold.
 
-    Binned columns hold one bin per value here. The depth-first exact
-    engine is no oracle bit for bit: sums are rounded in another order, so
-    mirrored columns tie either way and leaf values move by an ulp.
+    Binned columns hold one bin per value here. The depth-first oracle is
+    no oracle bit for bit: sums are rounded in another order, so mirrored
+    columns tie either way and leaf values move by an ulp.
     """
     X, y = case(table, kind, 7)
     assert all(len(np.unique(x)) <= trees._MAX_BINS for x in X.T)
@@ -440,32 +504,46 @@ def test_boosted_wide_columns_split_at_bin_edges(depth, min_leaf):
 @pytest.mark.parametrize("block", [16, 300, 1 << 12])
 @pytest.mark.parametrize("kind", ["residual", "three"])
 def test_scan_blocks_keep_the_first_feature(kind, block, monkeypatch):
-    """Features scored in separate blocks tie-break as in one block."""
-    monkeypatch.setattr(trees, "_BLOCK", block)
+    """Runs of nodes scored apart give the trees one histogram gives, and exact ties go to the first column.
+
+    Each column appears twice, so every CART split ties exactly between a
+    column and its copy; the first in column order must win.
+    """
     X, y = case("onehot", kind, 12, n=900)
+    X[:, -1] = X[:, -1].round(1)  # about 40 bins: nodes share a run below the default bound
     X = np.column_stack([X, X[:, ::-1]])
     k = 3 if kind == "three" else 0
-    got = nested(Cart("classification" if k else "regression", max_depth=6).fit(X, y))
-    assert as_json(got) == as_json(oracle_cart(X, y, k, 6))
+    task = "classification" if k else "regression"
+
+    def fit():
+        return [Cart(task, max_depth=6).fit(X, y),
+                RandomForest(task, n_trees=3, max_depth=6, seed=5).fit(X, y, n_classes=k or None)]
+
+    whole = fit()
+    assert whole[0].feature_.max() < X.shape[1] // 2
+    monkeypatch.setattr(trees, "_CELLS", block)
+    for got, want in zip(fit(), whole):
+        for name in ("roots_", "feature_", "threshold_", "left_", "value_"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    check_tree(whole[0], 0, X, y, k, 6)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_mirrored_columns_keep_the_partition_tie_order(seed):
-    """Below the root, an ulp of summation order picks between mirrored columns.
+    """Mirrored columns split rows alike, so whichever wins, rows reach the oracle's leaves.
 
     Columns 1 and 2 are mirrored 0/1 indicators: each child of the root
     split on column 0 can split on either with the same partition and, up
-    to rounding, the same cost. Their tied rows reach each child in row
-    order only through a stable partition of the level; a child whose ties
-    are reordered sums them in another order, and on some seeds the other
-    column wins.
+    to rounding, the same gain, and rounding may break the tie either way.
     """
     rng = np.random.default_rng(seed)
     root, two = rng.integers(0, 2, 40), rng.integers(0, 2, 40)
     X = np.column_stack([root, two == 0, two == 1]).astype(float)
     y = 10.0 * root + 0.5 * two + rng.normal(size=40)
-    got = nested(Cart("regression", max_depth=2).fit(X, y))
-    assert as_json(got) == as_json(oracle_cart(X, y, 0, 2))
+    cart = Cart("regression", max_depth=2).fit(X, y)
+    check_tree(cart, 0, X, y, 0, 2)
+    want = oracle_predict(oracle_cart(X, y, 0, 2), X)
+    assert cart.predict(X) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_boosted_training_values_are_predictions():
@@ -473,7 +551,7 @@ def test_boosted_training_values_are_predictions():
     X, y = case("grid", "residual", 8)
     tree = GradientBoosted(n_stages=1, learning_rate=1.0, max_depth=4)
     table = _Table(0)
-    fitted = tree._grow_binned(table, *_bins(X), y)
+    fitted = tree._grow(table, _bins(X), y, np.arange(len(y)))
     tree.init_, tree.n_features_ = 0.0, X.shape[1]
     tree._store(table)
     assert np.array_equal(fitted, tree.predict(X))
@@ -503,19 +581,27 @@ def ties_X(rng, n):
 
 
 def test_dense_ranks_order_cells_as_their_values():
-    X = ties_X(np.random.default_rng(4), 300)
-    ranks = _dense_ranks(X)
+    """Bins are a column's dense value ranks up to ``_MAX_BINS`` values, and ordered runs of values beyond."""
+    rng = np.random.default_rng(4)
+    X = np.column_stack([ties_X(rng, 300), rng.normal(size=300)])
+    keys, lo, hi, bins = _bins(X)
+    assert np.array_equal(keys.min(axis=0), np.arange(0, X.shape[1] * bins, bins))
     for j in range(X.shape[1]):
-        r, x = ranks[j], X[:, j]
-        assert np.array_equal(r[:, None] < r[None, :], x[:, None] < x[None, :])
-        assert np.array_equal(r[:, None] == r[None, :], x[:, None] == x[None, :])
-        assert r.min() == 0 and r.max() == len(np.unique(x)) - 1
+        r, x = keys[:, j], X[:, j]
+        assert np.all(lo[r] <= x) and np.all(x <= hi[r])
+        assert np.array_equal(r[:, None] < r[None, :], (x[:, None] < x[None, :]) & (r[:, None] != r[None, :]))
+        if len(np.unique(x)) <= trees._MAX_BINS:
+            assert np.array_equal(r[:, None] == r[None, :], x[:, None] == x[None, :])
+            assert r.max() - j * bins == len(np.unique(x)) - 1
+            assert np.array_equal(lo[r], x) and np.array_equal(hi[r], x)
+        else:
+            assert r.max() - j * bins == trees._MAX_BINS - 1
 
 
 @pytest.mark.parametrize("kind", ["residual", "three"])
 @pytest.mark.parametrize("min_leaf", [1, 3])
 def test_bootstrap_forest_on_tied_columns_matches_oracle(kind, min_leaf):
-    """A bootstrap repeats rows, so every sample column has ties to order by position."""
+    """A bootstrap repeats rows, and the columns hold ties, signed zeros, infinities and a constant."""
     rng = np.random.default_rng(6)
     X = ties_X(rng, 240)
     finite = np.where(np.isfinite(X), X, 0.0)
@@ -523,16 +609,7 @@ def test_bootstrap_forest_on_tied_columns_matches_oracle(kind, min_leaf):
     task, k = ("classification", 3) if kind == "three" else ("regression", 0)
     forest = RandomForest(task, n_trees=5, min_samples_leaf=min_leaf, seed=3)
     forest.fit(X, y, n_classes=k or None)
-    per_split = math.ceil(math.sqrt(X.shape[1]))
-    for t in range(5):
-        rng = np.random.default_rng(3 + t)
-        rows = rng.integers(0, len(X), len(X))
-        assert np.array_equal(
-            np.argsort(_dense_ranks(X)[:, rows] * len(X) + np.arange(len(X)), axis=1),
-            _presort(X[rows]),
-        )
-        want = oracle_queue_tree(X[rows], y[rows], k, min_leaf, per_split, rng)
-        assert as_json(nested(forest, t)) == as_json(want)
+    check_forest(forest, X, y, k, min_leaf)
 
 
 def oracle_leaves(model, t, Q):
@@ -665,10 +742,11 @@ def test_preorder_node_tables_still_load(kind):
 def test_forest_fit_memory_stays_flat():
     """Peak traced memory of a 3,200x8 forest fit: 5 trees to depth 12, leaves of one row.
 
-    The bound is the peak of the depth-first engine that level-wise growth
-    replaced, 1.82 MB (numpy 2.4, Python 3.11), plus 25%. The level-wise
-    engine reads 2.08 MB, most of it the scan's blocks of ``_BLOCK`` values;
-    arrays kept per level, or per tree, would pass the bound at once.
+    The bound is the peak of the depth-first exact engine that level-wise
+    growth replaced, 1.82 MB (numpy 2.4, Python 3.11), plus 25%. The binned
+    grower reads 1.51 MB, most of it the bin keys and the histograms of
+    runs of at most ``_CELLS`` cells; arrays kept per level, or per tree,
+    would pass the bound at once.
     """
     rng = np.random.default_rng(0)
     X = rng.normal(size=(3200, 8))
@@ -686,10 +764,11 @@ def test_forest_fit_memory_stays_flat():
 def test_deep_boosting_memory_stays_flat():
     """Peak traced memory of a 3,200x8 boosted fit: 2 stages grown to leaves of one row.
 
-    The binned grower reads 1.99 MB (numpy 2.4, Python 3.11); the bound is
-    that plus 25%. Its deepest levels hold over a thousand nodes: scoring
-    all of a level's nodes in one histogram of every node, column and bin
-    reads 12.7 MB.
+    The binned grower read 1.99 MB (numpy 2.4, Python 3.11) with runs as
+    large as a level's keys; the bound is that plus 25%. With runs of at
+    most ``_CELLS`` cells it reads 1.65 MB. Its deepest levels hold over a
+    thousand nodes: scoring all of a level's nodes in one histogram of
+    every node, column and bin reads 12.7 MB.
     """
     rng = np.random.default_rng(0)
     X = rng.normal(size=(3200, 8))
