@@ -130,15 +130,14 @@ class Balancer(Component):
         Xm = X[minority_idx]
         k = min(self.k, len(Xm) - 1)
         neighbor_ids = nearest(Xm, Xm, k, skip=np.arange(len(Xm)))
-        synth = np.empty((extra, X.shape[1]), dtype=float)
-        labels = np.empty(extra, dtype=int)
-        for s in range(extra):
-            base = int(rng.integers(0, len(Xm)))
-            nn = int(neighbor_ids[base, rng.integers(0, k)])
-            u = rng.uniform()
-            synth[s] = Xm[base] + u * (Xm[nn] - Xm[base])
-            labels[s] = y[minority_idx[base]]
-        return np.vstack([X, synth]), np.concatenate([y, labels])
+        # Drawn per sample, base then slot then u, to keep the generator's stream.
+        draws = np.array(
+            [(rng.integers(0, len(Xm)), rng.integers(0, k), rng.uniform()) for _ in range(extra)]
+        ).reshape(extra, 3)
+        base, slot = draws[:, :2].T.astype(np.intp)
+        start = Xm[base]
+        synth = start + draws[:, 2:] * (Xm[neighbor_ids[base, slot]] - start)
+        return np.vstack([X, synth]), np.concatenate([y, y[minority_idx[base]]])
 
     def _tomek(self, X, y, prof, rng):
         majority = y == prof.majority_class

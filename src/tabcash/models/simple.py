@@ -14,7 +14,7 @@ from ..base import (
 )
 from ..errors import ConfigurationError
 from ..metrics import PredictionBundle
-from ..neighbors import nearest, squared_norms
+from ..neighbors import bank, nearest
 
 
 def check_task(task: str) -> str:
@@ -129,8 +129,8 @@ class KNNModel(Model):
     """k-nearest-neighbor prediction with lower-row-index tie breaking.
 
     ``neighbors.nearest`` ranks training rows by exact Euclidean distance,
-    ties going to the lower training row index. The squared norms of the
-    training rows are derived once per fit or load, not saved.
+    ties going to the lower training row index. Its ``neighbors.bank`` of
+    the training rows is derived once per fit or load, not saved.
     """
 
     method = "knn"
@@ -150,11 +150,11 @@ class KNNModel(Model):
         return self
 
     def _derive(self) -> None:
-        self._sq = squared_norms(self.X_)
+        self._bank = bank(self.X_)
         self.n_features_ = self.X_.shape[1]
 
     def _neighbors(self, X: np.ndarray) -> np.ndarray:
-        return nearest(X, self.X_, min(self.k, len(self.X_)), sq=self._sq)
+        return nearest(X, self.X_, min(self.k, len(self.X_)), bank=self._bank)
 
     def predict(self, X) -> np.ndarray:
         if self.is_classifier:

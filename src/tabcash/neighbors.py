@@ -7,19 +7,23 @@ row ``sum`` bit for bit.
 Tie rule: neighbours are ordered by (distance, lower row index), as a
 stable argsort of ``distances`` orders them.
 
-Rounding bound: ``nearest`` screens blocks of about 1 MB with the Gram form
-``g = |x|^2 - 2 q.x`` by BLAS, which cancels on rows far from the origin,
-and ranks by ``distances`` only the columns with ``g <= t + 2E``. ``t`` is
+Rounding bound: ``nearest`` screens blocks of about 1 MB with one BLAS
+product per block, ``g = [-2q, 1] @ bank`` against ``bank = [X^T; |x|^2]``,
+which gives ``|x|^2 - 2 q.x`` and cancels on rows far from the origin, and
+it ranks by ``distances`` only the columns with ``g <= t + 2E``. ``t`` is
 the k-th smallest of the minima of ``g`` over ``min(n, 2k)`` disjoint
 column chunks, so at least k columns have ``g <= t``, and
-``E = 2 (w + 3) eps (|q|^2 + max|x|^2 + tiny)`` for ``w`` columns. The Gram
-rounding is at most ``(w + 1) eps (max|x|^2 + |q|^2 / 2)``, so a dropped
-column is farther than k kept ones by over
-``(2w + 8) eps (|q|^2 + max|x|^2)`` in squared distance: more than
-``distances`` rounds away, at ``(w + 2) eps / 2`` relative on at most
-``2 (|q|^2 + max|x|^2)`` plus ``eps / 2`` for the root. So every neighbour
-and every tie at the k-th distance is kept; ``tiny`` covers underflow, and
-offset data only keeps more candidates.
+``E = 2 (2w + 4) eps (|q|^2 + max|x|^2 + tiny)`` for ``w`` columns.
+``-2q`` is exact. A product of ``w + 1`` terms, summed in any order and
+with or without FMA, rounds by at most ``(w + 1) eps / 2`` of
+``2 |q||x| + |x|^2 <= |q|^2 + 2 max|x|^2``, and ``|x|^2`` itself by
+``w eps / 2`` of ``max|x|^2``, so ``g`` is off by at most
+``(3w + 2) eps / 2 (|q|^2 + max|x|^2)``. A dropped column is then farther
+than k kept ones by over ``(5w + 14) eps (|q|^2 + max|x|^2)`` in squared
+distance: more than ``distances`` rounds away, at ``(w + 2) eps / 2``
+relative on at most ``2 (|q|^2 + max|x|^2)`` plus ``eps / 2`` for the
+root. So every neighbour and every tie at the k-th distance is kept;
+``tiny`` covers underflow, and offset data only keeps more candidates.
 """
 
 from __future__ import annotations
@@ -37,49 +41,65 @@ def distances(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     ``X`` is one ``(m, w)`` table shared by every query row, or one table
     per query row, ``(len(Q), m, w)``.
     """
-    D = np.zeros(X.shape[:-1] if X.ndim == 3 else (len(Q), len(X)))
-    for j in range(Q.shape[1]):
-        diff = Q[:, j, None] - X[..., j]
+    shape = X.shape[:-1] if X.ndim == 3 else (len(Q), len(X))
+    return _root_sum(Q, (X[..., j] for j in range(Q.shape[1])), shape)
+
+
+def _root_sum(Q: np.ndarray, columns, shape) -> np.ndarray:
+    """The root of ``(Q[:, j, None] - column j)^2`` summed in column order."""
+    D = np.zeros(shape)
+    diff = np.empty(shape)
+    for j, column in enumerate(columns):
+        np.subtract(Q[:, j, None], column, out=diff)
         diff *= diff
         D += diff
     return np.sqrt(D, out=D)
 
 
-def squared_norms(X: np.ndarray) -> np.ndarray:
-    """``|x|^2`` of each row of ``X``, as ``nearest`` computes it."""
-    return np.einsum("ij,ij->i", X, X)
+def bank(X: np.ndarray) -> np.ndarray:
+    """``[X^T; |x|^2]``, the ``(w + 1, n)`` matrix that ``nearest`` screens."""
+    return np.vstack([X.T, np.einsum("ij,ij->i", X, X)])
 
 
-def nearest(Q: np.ndarray, X: np.ndarray, k: int, skip=None, sq=None) -> np.ndarray:
+_bank = bank  # ``nearest``'s argument of the same name hides it
+
+
+def nearest(Q: np.ndarray, X: np.ndarray, k: int, skip=None, bank=None) -> np.ndarray:
     """Per query row, the ``k`` rows of ``X`` ordered by (distance, row index).
 
     Equal to ``np.argsort(distances(Q, X), axis=1, kind="stable")[:, :k]``.
     ``skip[r]``, when given, is the row of ``X`` that query row ``r`` may
-    not pick (the query row itself when ``Q`` is ``X``). ``sq``, when
-    given, is ``squared_norms(X)``, kept by a caller that queries ``X`` often.
+    not pick (the query row itself when ``Q`` is ``X``). ``bank``, when
+    given, is ``bank(X)``, kept by a caller that queries ``X`` often.
     """
-    n, w = X.shape
+    if bank is None:
+        bank = _bank(X)
+    w, n = bank.shape[0] - 1, bank.shape[1]
     out = np.empty((len(Q), k), dtype=np.intp)
-    if sq is None:
-        sq = squared_norms(X)
-    scale = sq.max() + _TINY
+    scale = bank[w].max() + _TINY
     chunks = min(n, 2 * k)
-    step = max(1, _BLOCK_FLOATS // n)
+    offsets = np.arange(chunks) * (n // chunks)
+    slack = 4 * (2 * w + 4) * _EPS  # 2E over |q|^2 + max|x|^2 + tiny
+    step = max(1, min(len(Q), _BLOCK_FLOATS // n))
+    # One buffer each for [-2q, 1], g and the kept mask, reused by every block.
+    lhs = np.ones((step, w + 1))
+    g_rows = np.empty((step, n))
+    keep_rows = np.empty((step, n), dtype=bool)
     for start in range(0, len(Q), step):
         q = Q[start : start + step]
         b = len(q)
-        g = q @ X.T
-        g *= -2.0
-        g += sq
+        np.multiply(q, -2.0, out=lhs[:b, :w])
+        g = np.matmul(lhs[:b], bank, out=g_rows[:b])
         if skip is not None:
             own = (np.arange(b), skip[start : start + step])
             g[own] = np.inf
         # At least k columns lie at or below the k-th smallest chunk minimum.
-        mins = np.minimum.reduceat(g, np.arange(chunks) * (n // chunks), axis=1)
+        mins = np.minimum.reduceat(g, offsets, axis=1)
         t = np.partition(mins, k - 1, axis=1)[:, k - 1]
-        E = 2 * (w + 3) * _EPS * (squared_norms(q) + scale)
-        # ~(g > t + 2E) also keeps NaN values, and every column under a NaN bound.
-        keep = ~(g > (t + 2 * E)[:, None])
+        bound = t + slack * (np.einsum("ij,ij->i", q, q) + scale)
+        # not (g > t + 2E) also keeps NaN values, and every column under a NaN bound.
+        keep = np.greater(g, bound[:, None], out=keep_rows[:b])
+        np.logical_not(keep, out=keep)
         if skip is not None:
             keep[own] = False
         rows, cols = np.divmod(np.flatnonzero(keep), n)
@@ -92,8 +112,9 @@ def nearest(Q: np.ndarray, X: np.ndarray, k: int, skip=None, sq=None) -> np.ndar
         sub = max(1, _BLOCK_FLOATS // (width * max(w, 1)))
         for lo in range(0, b, sub):
             part = slice(lo, lo + sub)
-            D = distances(q[part], X[cand[part]])
+            c = cand[part]
+            D = _root_sum(q[part], (row[c] for row in bank[:w]), c.shape)
             D[pad[part]] = np.nan
             order = np.argsort(D, axis=1, kind="stable")[:, :k]
-            out[start : start + b][part] = np.take_along_axis(cand[part], order, axis=1)
+            out[start : start + b][part] = c[np.arange(len(c))[:, None], order]
     return out

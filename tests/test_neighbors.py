@@ -5,7 +5,7 @@ import pytest
 
 from tabcash.balance import Balancer, profile
 from tabcash.models import KNNModel
-from tabcash.neighbors import distances, nearest
+from tabcash.neighbors import bank, distances, nearest
 from tabcash.preprocess import Imputer
 
 
@@ -75,6 +75,23 @@ def loop_cnn(X, y, major, seed):
                 condensed.add(int(i))
                 changed = True
     return np.fromiter(sorted(condensed), dtype=int)
+
+
+def loop_smote(X, y, major, k, ratio, seed):
+    rng = np.random.default_rng(seed)
+    minority_idx = np.flatnonzero(y != major)
+    extra = int(np.ceil((y == major).sum() / ratio)) - len(minority_idx)
+    Xm = X[minority_idx]
+    k = min(k, len(Xm) - 1)
+    ids = stable_nearest(Xm, Xm, k, skip=np.arange(len(Xm)))
+    rows, labels = [X], [y]
+    for _ in range(extra):
+        base = int(rng.integers(0, len(Xm)))
+        nn = int(ids[base, rng.integers(0, k)])
+        u = rng.uniform()
+        rows.append([Xm[base] + u * (Xm[nn] - Xm[base])])
+        labels.append([y[minority_idx[base]]])
+    return np.vstack(rows), np.concatenate(labels)
 
 
 def loop_knn_fill(bank, stats, X, k):
@@ -157,6 +174,40 @@ class TestNearest:
             np.testing.assert_array_equal(nearest(Q, X, 4), [[1, 3, 0, 2], [1, 0, 2, 3]])
 
 
+def screen_data(kind, width, seed):
+    """Grid rows with exact distance ties, and queries between them."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, (70, width)).astype(float)
+    Q = rng.integers(0, 5, (25, width)) / 2
+    if kind == "duplicated":
+        X = X[rng.permutation(np.r_[np.arange(35), np.arange(35)])]
+    scale, offset = {"offset": (1.0, 1e8), "huge": (1e150, 0.0), "tiny": (1e-150, 0.0)}.get(
+        kind, (0.1, 0.0)
+    )
+    return X * scale + offset, Q * scale + offset
+
+
+class TestScreenBound:
+    """The screen's slack grows with the width: it must keep every neighbour."""
+
+    @pytest.mark.parametrize("kind", ["offset", "huge", "tiny", "duplicated"])
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_nearest_is_the_stable_argsort(self, kind, width):
+        X, Q = screen_data(kind, width, seed=width)
+        n = len(X)
+        rows = np.arange(0, n, 3)
+        for k in (1, 2, 33, n):
+            for passed in (None, bank(X)):
+                np.testing.assert_array_equal(
+                    nearest(Q, X, k, bank=passed), stable_nearest(Q, X, k)
+                )
+                j = min(k, n - 1)
+                np.testing.assert_array_equal(
+                    nearest(X[rows], X, j, skip=rows, bank=passed),
+                    stable_nearest(X[rows], X, j, skip=rows),
+                )
+
+
 class TestDistanceBlocks:
     """``distances``, the exact rule that ranks every block of candidates."""
 
@@ -222,6 +273,18 @@ class TestCleaningMatchesRowLoops:
         np.testing.assert_array_equal(Xt, X[keep])
         np.testing.assert_array_equal(yt, y[keep])
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_smote(self, seed, k):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(90, 3))
+        y = np.r_[np.zeros(72, dtype=int), rng.integers(1, 3, 18)]
+        for ratio in (1.0, 2.5):
+            Xs, ys = Balancer("smote", ratio=ratio, k=k).fit_resample(X, y, seed=seed)
+            Xo, yo = loop_smote(X, y, 0, k, ratio, seed)
+            assert Xs.tobytes() == Xo.tobytes()
+            np.testing.assert_array_equal(ys, yo)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_cnn(self, seed):
         X, y = grid_data(seed, n=80)
@@ -255,15 +318,24 @@ class TestKnnSearchMatchesArgsort:
         model = KNNModel("classification", k=7).fit(X, y)
         np.testing.assert_array_equal(model._neighbors(Q), stable_k(distances(Q, X), 7))
 
-    def test_knn_model_keeps_training_norms_out_of_its_state(self):
+    def test_knn_model_keeps_training_norms_out_of_its_state(self, monkeypatch):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(50, 3)) * 1e3
         model = KNNModel("regression", k=4).fit(X, rng.normal(size=50))
         Q = rng.normal(size=(20, 3)) * 1e3
-        assert model._sq.tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
+        assert model._bank.tobytes() == bank(X).tobytes()
         np.testing.assert_array_equal(model._neighbors(Q), nearest(Q, X, 4))
         state = model.to_state()
         assert list(state["fitted"]) == ["X_", "y_", "n_classes_"]
+        assert "_bank" not in repr(state)
         loaded = KNNModel.from_state(state)
-        assert loaded._sq.tobytes() == model._sq.tobytes()
-        assert loaded.predict(Q).tobytes() == model.predict(Q).tobytes()
+        assert loaded._bank.tobytes() == model._bank.tobytes()
+        batch = model.predict(Q)
+        assert loaded.predict(Q).tobytes() == batch.tobytes()
+
+        def rebuilt(X):
+            raise AssertionError("the bank was rebuilt")
+
+        monkeypatch.setattr("tabcash.neighbors._bank", rebuilt)
+        for i in range(len(Q)):
+            assert loaded.predict(Q[i : i + 1]).tobytes() == batch[i : i + 1].tobytes()
