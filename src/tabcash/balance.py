@@ -14,6 +14,13 @@ cleaning rules use the threshold only as a gate, not as a target ratio.
 Every neighbour rule here finds neighbours with ``neighbors.py``: exact
 Euclidean distances whose squared differences are summed column by column
 in column order, with distance ties going to the lower row index.
+
+SMOTE draws its synthetic rows in three bulk vectors, base minority rows,
+then neighbour slots, then interpolation steps, as imbalanced-learn does.
+CNN (Hart's condensed neighbours) makes one pass, since a second one never
+adds a row: each majority row's nearest bank row comes from ``nearest``,
+and each row that joins the bank ends the later rows it lies nearer to,
+found by ``within`` against the bank of the candidate rows, built once.
 """
 
 from __future__ import annotations
@@ -26,9 +33,12 @@ import numpy as np
 
 from .base import Component, as_float_matrix, check_no_missing
 from .errors import BalancingError, ConfigurationError
-from .neighbors import distances, nearest
+from .neighbors import bank, distances, nearest, within
 
 logger = logging.getLogger(__name__)
+
+# Live rows that CNN settles on one pairwise matrix before screening the rest.
+_CNN_BLOCK = 64
 
 BALANCE_METHODS = ("none", "random_over", "random_under", "smote", "tomek", "enn", "cnn")
 
@@ -130,13 +140,12 @@ class Balancer(Component):
         Xm = X[minority_idx]
         k = min(self.k, len(Xm) - 1)
         neighbor_ids = nearest(Xm, Xm, k, skip=np.arange(len(Xm)))
-        # Drawn per sample, base then slot then u, to keep the generator's stream.
-        draws = np.array(
-            [(rng.integers(0, len(Xm)), rng.integers(0, k), rng.uniform()) for _ in range(extra)]
-        ).reshape(extra, 3)
-        base, slot = draws[:, :2].T.astype(np.intp)
+        # Three bulk draws, base rows, then neighbour slots, then steps.
+        base = rng.integers(0, len(Xm), extra)
+        slot = rng.integers(0, k, extra)
+        u = rng.uniform(size=(extra, 1))
         start = Xm[base]
-        synth = start + draws[:, 2:] * (Xm[neighbor_ids[base, slot]] - start)
+        synth = start + u * (Xm[neighbor_ids[base, slot]] - start)
         return np.vstack([X, synth]), np.concatenate([y, y[minority_idx[base]]])
 
     def _tomek(self, X, y, prof, rng):
@@ -162,19 +171,38 @@ class Balancer(Component):
         in_bank = y != prof.majority_class
         in_bank[int(rng.choice(majority_idx))] = True
         order = rng.permutation(len(X))
-        # Every row's nearest bank row, ties to the lower index.
+        # Only majority rows start outside the bank and only they join it, so
+        # a row whose nearest bank row is a majority row keeps one: Hart's
+        # second pass never adds a row. A row is live while its nearest bank
+        # row (ties to the lower index) is a minority row.
         bank_idx = np.flatnonzero(in_bank)
-        nn = bank_idx[nearest(X, X[bank_idx], 1)[:, 0]]
-        nn_d = distances(X, X[nn, None])[:, 0]
-        changed = True
-        while changed:
-            changed = False
-            for i in order:
-                if in_bank[i] or y[nn[i]] == y[i]:
-                    continue
-                in_bank[i] = changed = True
-                d = distances(X[i : i + 1], X)[0]
-                closer = (d < nn_d) | ((d == nn_d) & (i < nn))
-                nn_d[closer] = d[closer]
-                nn[closer] = i
+        rows = order[~in_bank[order]]
+        nn = bank_idx[nearest(X[rows], X[bank_idx], 1)[:, 0]]
+        live = y[nn] != prof.majority_class
+        rows, nn = rows[live], nn[live]
+        Xr = X[rows]
+        nn_d = distances(Xr, X[nn, None])[:, 0]
+        screen = bank(Xr)
+        # Walked in order, a live row joins the bank and ends every later
+        # live row that lies nearer to it, by (distance, row index), than to
+        # its nearest bank row. A block of live rows is settled on its own
+        # pairwise distances, and its joined rows end later rows by ``within``.
+        alive = np.ones(len(rows), dtype=bool)
+        start = 0
+        while (blk := start + np.flatnonzero(alive[start:])[:_CNN_BLOCK]).size:
+            start = blk[-1] + 1
+            d = distances(Xr[blk], Xr[blk])
+            ends = (d < nn_d[blk]) | ((d == nn_d[blk]) & (rows[blk, None] < nn[blk]))
+            spared = ~np.triu(ends, 1)
+            joins = np.ones(len(blk), dtype=bool)
+            for a in range(len(blk)):
+                if joins[a]:
+                    joins &= spared[a]
+            joined = blk[joins]
+            in_bank[rows[joined]] = True
+            alive[blk] = False
+            later = start + np.flatnonzero(alive[start:])
+            q, j, d = within(Xr[joined], Xr[later], nn_d[later], bank=screen[:, later])
+            ended = (d < nn_d[later[j]]) | (rows[joined[q]] < nn[later[j]])
+            alive[later[j[ended]]] = False
         return X[in_bank], y[in_bank]

@@ -24,6 +24,14 @@ distance: more than ``distances`` rounds away, at ``(w + 2) eps / 2``
 relative on at most ``2 (|q|^2 + max|x|^2)`` plus ``eps / 2`` for the
 root. So every neighbour and every tie at the k-th distance is kept;
 ``tiny`` covers underflow, and offset data only keeps more candidates.
+
+``within`` screens the same ``g`` against a radius ``r`` per row of ``X``,
+keeping ``g <= r^2 - |q|^2 + 2E``, and tests only those pairs with
+``distances``. A pair that ``distances`` puts at most ``r`` apart is at
+most ``r^2 (1 + (w + 4) eps / 2)`` apart squared, and never more than
+``2 (|q|^2 + max|x|^2)``, so it lies over ``r^2`` by less than
+``(w + 4) eps (|q|^2 + max|x|^2)``. With the error of ``g`` and a few
+``eps`` for rounding ``r^2``, ``|q|^2`` and the bound, that stays under 2E.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ def _root_sum(Q: np.ndarray, columns, shape) -> np.ndarray:
 
 
 def bank(X: np.ndarray) -> np.ndarray:
-    """``[X^T; |x|^2]``, the ``(w + 1, n)`` matrix that ``nearest`` screens."""
+    """``[X^T; |x|^2]``, the ``(w + 1, n)`` matrix that ``nearest`` and ``within`` screen."""
     return np.vstack([X.T, np.einsum("ij,ij->i", X, X)])
 
 
@@ -118,3 +126,34 @@ def nearest(Q: np.ndarray, X: np.ndarray, k: int, skip=None, bank=None) -> np.nd
             order = np.argsort(D, axis=1, kind="stable")[:, :k]
             out[start : start + b][part] = c[np.arange(len(c))[:, None], order]
     return out
+
+
+def within(Q: np.ndarray, X: np.ndarray, radius: np.ndarray, bank=None):
+    """The pairs ``(r, j)`` with ``distances(Q, X)[r, j] <= radius[j]``.
+
+    Returns the query rows, the rows of ``X`` and the exact distances of
+    those pairs, ordered by query row, then row of ``X``. ``bank``, when
+    given, is ``bank(X)``.
+    """
+    if bank is None:
+        bank = _bank(X)
+    w, n = bank.shape[0] - 1, bank.shape[1]
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
+    scale = bank[w].max(initial=0.0) + _TINY
+    slack = 4 * (2 * w + 4) * _EPS  # 2E over |q|^2 + max|x|^2 + tiny, as in ``nearest``
+    reach = radius * radius
+    step = max(1, min(len(Q), _BLOCK_FLOATS // max(n, 1)))
+    lhs = np.ones((step, w + 1))
+    for start in range(0, len(Q), step):
+        q = Q[start : start + step]
+        b = len(q)
+        np.multiply(q, -2.0, out=lhs[:b, :w])
+        g = lhs[:b] @ bank
+        g -= reach
+        qq = np.einsum("ij,ij->i", q, q)
+        # not (g > r^2 - |q|^2 + 2E) also keeps NaN values.
+        rows, cols = np.nonzero(~(g > (slack * (qq + scale) - qq)[:, None]))
+        d = _root_sum(q[rows], (X[cols, j, None] for j in range(w)), (len(rows), 1))[:, 0]
+        hit = d <= radius[cols]
+        found.append((rows[hit] + start, cols[hit], d[hit]))
+    return tuple(np.concatenate(part) for part in zip(*found))

@@ -5,7 +5,7 @@ import pytest
 
 from tabcash.balance import Balancer, profile
 from tabcash.models import KNNModel
-from tabcash.neighbors import bank, distances, nearest
+from tabcash.neighbors import bank, distances, nearest, within
 from tabcash.preprocess import Imputer
 
 
@@ -84,13 +84,14 @@ def loop_smote(X, y, major, k, ratio, seed):
     Xm = X[minority_idx]
     k = min(k, len(Xm) - 1)
     ids = stable_nearest(Xm, Xm, k, skip=np.arange(len(Xm)))
+    base = rng.integers(0, len(Xm), extra)
+    slot = rng.integers(0, k, extra)
+    u = rng.uniform(size=extra)
     rows, labels = [X], [y]
-    for _ in range(extra):
-        base = int(rng.integers(0, len(Xm)))
-        nn = int(ids[base, rng.integers(0, k)])
-        u = rng.uniform()
-        rows.append([Xm[base] + u * (Xm[nn] - Xm[base])])
-        labels.append([y[minority_idx[base]]])
+    for b, s, t in zip(base, slot, u):
+        nn = int(ids[b, s])
+        rows.append([Xm[b] + t * (Xm[nn] - Xm[b])])
+        labels.append([y[minority_idx[b]]])
     return np.vstack(rows), np.concatenate(labels)
 
 
@@ -207,6 +208,20 @@ class TestScreenBound:
                     stable_nearest(X[rows], X, j, skip=rows),
                 )
 
+    @pytest.mark.parametrize("kind", ["offset", "huge", "tiny", "duplicated"])
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_within_is_the_exact_radius_test(self, kind, width):
+        X, Q = screen_data(kind, width, seed=width)
+        D = distances(Q, X)
+        # Each radius is the distance to some query row: ties on every boundary.
+        radius = D[np.random.default_rng(width).integers(0, len(Q), len(X)), np.arange(len(X))]
+        rows, cols = np.nonzero(D <= radius)
+        for passed in (None, bank(X)):
+            q, j, d = within(Q, X, radius, bank=passed)
+            np.testing.assert_array_equal(q, rows)
+            np.testing.assert_array_equal(j, cols)
+            assert d.tobytes() == D[rows, cols].tobytes()
+
 
 class TestDistanceBlocks:
     """``distances``, the exact rule that ranks every block of candidates."""
@@ -285,13 +300,22 @@ class TestCleaningMatchesRowLoops:
             assert Xs.tobytes() == Xo.tobytes()
             np.testing.assert_array_equal(ys, yo)
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", range(10))
     def test_cnn(self, seed):
-        X, y = grid_data(seed, n=80)
-        Xt, yt = Balancer("cnn").fit_resample(X, y, seed=seed)
-        keep = loop_cnn(X, y, profile(y).majority_class, seed)
-        np.testing.assert_array_equal(Xt, X[keep])
-        np.testing.assert_array_equal(yt, y[keep])
+        cases = [grid_data(seed, n=n, n_labels=3) for n in (80, 400)]
+        # The smallest gated case: two majority rows, one minority row.
+        cases.append((grid_data(seed, n=3)[0], np.roll([0, 0, 1 + seed % 2], seed)))
+        # Rows at 1 and 2 on a line, 1 and 2 from the minority row at 0: when
+        # the row at 2 joins first, the row at 1 lies as near to it as to the
+        # minority row, and the lower row index of the two decides.
+        line = np.array([[0.0], [1.0], [2.0], [100.0]])
+        for perm in ([0, 1, 2, 3], [3, 1, 2, 0], [2, 1, 3, 0]):
+            cases.append((line[perm], np.array([1, 0, 0, 0])[perm]))
+        for X, y in cases:
+            Xt, yt = Balancer("cnn").fit_resample(X, y, seed=seed)
+            keep = loop_cnn(X, y, profile(y).majority_class, seed)
+            np.testing.assert_array_equal(Xt, X[keep])
+            np.testing.assert_array_equal(yt, y[keep])
 
 
 class TestKnnSearchMatchesArgsort:
