@@ -21,6 +21,12 @@ CNN (Hart's condensed neighbours) makes one pass, since a second one never
 adds a row: each majority row's nearest bank row comes from ``nearest``,
 and each row that joins the bank ends the later rows it lies nearer to,
 found by ``within`` against the bank of the candidate rows, built once.
+
+Tomek and ENN read a table's self-neighbour graph from ``self_nearest``.
+Every trial of a search balances the same training rows, so ``optimize``
+keeps each table's graph (one self-join per table and depth) for the
+length of the search only: outside it nothing is kept, and the graphs never
+outlive the search into serving.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from .base import Component, as_float_matrix, check_no_missing
 from .errors import BalancingError, ConfigurationError
-from .neighbors import bank, distances, nearest, within
+from .neighbors import bank, distances, nearest, self_nearest, within
 
 logger = logging.getLogger(__name__)
 
@@ -150,16 +156,15 @@ class Balancer(Component):
 
     def _tomek(self, X, y, prof, rng):
         majority = y == prof.majority_class
-        rows = np.arange(len(X))
-        nn = nearest(X, X, 1, skip=rows)[:, 0]
-        drop = majority & ~majority[nn] & (nn[nn] == rows)
+        nn = self_nearest(X, 1)[:, 0]
+        drop = majority & ~majority[nn] & (nn[nn] == np.arange(len(X)))
         return X[~drop], y[~drop]
 
     def _enn(self, X, y, prof, rng):
         majority_idx = np.flatnonzero(y == prof.majority_class)
         other_labels = np.unique(y[y != prof.majority_class])
         k = min(self.k, len(X) - 1)
-        labels = y[nearest(X[majority_idx], X, k, skip=majority_idx)]
+        labels = y[self_nearest(X, k, majority_idx)]
         own = (labels == prof.majority_class).sum(axis=1)
         others = (labels[:, :, None] == other_labels).sum(axis=1).max(axis=1)
         drop = np.zeros(len(X), dtype=bool)

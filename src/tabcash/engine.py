@@ -41,6 +41,7 @@ from .errors import (
 )
 from .metrics import Metric, PredictionBundle
 from .models import Model, make_model
+from .neighbors import shared_graphs
 from .preprocess import Encoder, Imputer, Scaler, Selector
 from .space import PipelineSpec, SearchSpace, get_sampler
 from .tabular import ColumnSchema, Dataset, FoldPlan, Split, make_folds, split_dataset
@@ -429,6 +430,9 @@ def failure_histogram(history) -> dict[str, int]:
     return dict(Counter(t.reason or t.status for t in history if t.status != VALID))
 
 
+# Every trial, and the serving fit, balances the same training rows: ENN and
+# Tomek share one neighbour graph per table until the search returns or raises.
+@shared_graphs()
 def optimize(
     dataset: Dataset,
     space: SearchSpace,

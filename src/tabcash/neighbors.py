@@ -32,9 +32,20 @@ most ``r^2 (1 + (w + 4) eps / 2)`` apart squared, and never more than
 ``2 (|q|^2 + max|x|^2)``, so it lies over ``r^2`` by less than
 ``(w + 4) eps (|q|^2 + max|x|^2)``. With the error of ``g`` and a few
 ``eps`` for rounding ``r^2``, ``|q|^2`` and the bound, that stays under 2E.
+
+``self_nearest`` is ``nearest`` of a table's rows against the table itself.
+Inside ``shared_graphs`` it keeps the graph of every row, one per table,
+keyed by the table's shape, dtype and a digest of its bytes. It answers a
+shallower request, or a subset of rows, from that graph: exact, since each
+row's result is a stable sort's prefix and does not depend on the other
+query rows. A deeper request recomputes the graph and replaces it.
 """
 
 from __future__ import annotations
+
+import hashlib
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -157,3 +168,44 @@ def within(Q: np.ndarray, X: np.ndarray, radius: np.ndarray, bank=None):
         hit = d <= radius[cols]
         found.append((rows[hit] + start, cols[hit], d[hit]))
     return tuple(np.concatenate(part) for part in zip(*found))
+
+
+_graphs: dict = {}
+_scopes = 0
+_scopes_lock = threading.Lock()
+
+
+@contextmanager
+def shared_graphs():
+    """Keep each table's ``self_nearest`` graph until the outermost scope closes.
+
+    Threads share the graphs; a race can only compute a graph twice.
+    """
+    global _scopes
+    with _scopes_lock:
+        _scopes += 1
+    try:
+        yield
+    finally:
+        with _scopes_lock:
+            _scopes -= 1
+            if not _scopes:
+                _graphs.clear()
+
+
+def self_nearest(X: np.ndarray, k: int, rows=None) -> np.ndarray:
+    """``nearest(X[rows], X, k, skip=rows)``, the ``k`` nearest other rows.
+
+    ``rows`` defaults to every row.
+    """
+    rows = np.arange(len(X)) if rows is None else rows
+    if not _scopes:
+        return nearest(X[rows], X, k, skip=rows)
+    X = np.ascontiguousarray(X)
+    key = (X.shape, X.dtype.str, hashlib.blake2b(X).digest())
+    graph = _graphs.get(key)
+    if graph is None or graph.shape[1] < k:
+        graph = nearest(X, X, k, skip=np.arange(len(X)))
+        graph.flags.writeable = False
+        _graphs[key] = graph
+    return graph[rows, :k]

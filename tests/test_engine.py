@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_binary_dataset, make_regression_dataset
+from tabcash import neighbors
 from tabcash.engine import (
     Budget,
     Protocol,
@@ -27,6 +28,7 @@ from tabcash.errors import (
 )
 from tabcash.metrics import get_metric
 from tabcash.space import PipelineSpec, StageChoice, default_space
+from tabcash.synthdata import GeneratorSpec, generate
 from tabcash.tabular import REGRESSION, make_folds, split_dataset
 
 
@@ -207,6 +209,48 @@ class TestServe:
         with pytest.raises(EnsembleError):
             build_stacking(history, 2)
         assert [t.status for t in history] == ["failed", "failed"]
+
+
+class TestSharedGraphs:
+    """ENN and Tomek read one self-neighbour graph per training table per search."""
+
+    def cleaning_search(self, monkeypatch, **options):
+        """An ENN/Tomek search, and the (rows, depth) of each self-join it runs."""
+        ds = generate(GeneratorSpec(kind="imbalanced_binary", n_rows=400, n_features=3, seed=1))
+        space = default_space(ds.task, y=ds.y, n_features=3)
+        space = space.replace_menu("balance", ("enn", "tomek")).replace_menu("model", ("logistic",))
+        real = neighbors.nearest
+        joins = []
+
+        def counted(Q, X, k, skip=None, bank=None):
+            if Q is X:
+                joins.append((len(X), k))
+            return real(Q, X, k, skip=skip, bank=bank)
+
+        monkeypatch.setattr(neighbors, "nearest", counted)
+        n_train = len(Protocol().plan(ds).train_indices)
+        result = optimize(
+            ds, space, Budget(600.0, 10), sampler="random", metric=get_metric("auc"),
+            seed=1, **options,
+        )
+        return result, joins, n_train
+
+    def test_one_self_join_per_depth_increase(self, monkeypatch):
+        result, joins, n_train = self.cleaning_search(monkeypatch)
+        depths = [
+            1 if t.spec.method("balance") == "tomek"
+            else min(t.spec.params("balance")["k"], n_train - 1)
+            for t in result.history
+        ]
+        deeper = [d for i, d in enumerate(depths) if d > max(depths[:i], default=0)]
+        assert joins == [(n_train, d) for d in deeper]
+        assert len(joins) < len(depths)
+        assert not neighbors._graphs
+
+    def test_graphs_cleared_when_the_search_raises(self, monkeypatch):
+        with pytest.raises(OptimizationError):
+            self.cleaning_search(monkeypatch, trial_timeout=1e-9)
+        assert not neighbors._graphs
 
 
 class TestTrainedPipeline:

@@ -1,11 +1,15 @@
 """The shared neighbour search against sort-based and row-at-a-time oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from tabcash import neighbors
 from tabcash.balance import Balancer, profile
 from tabcash.models import KNNModel
-from tabcash.neighbors import bank, distances, nearest, within
+from tabcash.neighbors import bank, distances, nearest, shared_graphs, within
 from tabcash.preprocess import Imputer
 
 
@@ -316,6 +320,67 @@ class TestCleaningMatchesRowLoops:
             keep = loop_cnn(X, y, profile(y).majority_class, seed)
             np.testing.assert_array_equal(Xt, X[keep])
             np.testing.assert_array_equal(yt, y[keep])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_graphs(self, seed):
+        X, y = grid_data(seed, n_labels=3, minority=0.4)
+        major = profile(y).majority_class
+
+        def check(method, k, X):
+            Xt, yt = Balancer(method, k=k).fit_resample(X, y)
+            keep = loop_tomek(X, y, major) if method == "tomek" else loop_enn(X, y, major, k)
+            np.testing.assert_array_equal(Xt, X[keep])
+            np.testing.assert_array_equal(yt, y[keep])
+
+        # The first row ENN drops moves far out: the same shape, another graph.
+        kept = loop_enn(X, y, major, 6)
+        changed = X.copy()
+        changed[np.setdiff1d(np.arange(len(X)), kept)[0], 0] = 10.0
+        assert not np.array_equal(loop_enn(changed, y, major, 6), kept)
+        interleaved = np.full((len(X), 2 * X.shape[1]), 7.0)
+        interleaved[:, ::2] = changed
+        with shared_graphs():
+            # Depths 1, 6, 2 (a prefix), 9 (deeper), then 1 again from the deeper graph.
+            for method, k in [("tomek", 1), ("enn", 6), ("enn", 2), ("enn", 9), ("tomek", 1)]:
+                check(method, k, X)
+            check("enn", 6, changed)
+            # Non-contiguous views: the changed values strided, and X's rows reversed.
+            check("enn", 6, interleaved[:, ::2])
+            check("enn", 6, X[::-1])
+
+    def test_threads_share_graphs(self):
+        """Eight threads, each in its own scope, clean six tables at rising and falling depths."""
+        tables = [grid_data(seed, n=150, n_labels=3, minority=0.4) for seed in range(6)]
+        steps = [("enn", 3), ("tomek", 1), ("enn", 8), ("enn", 1), ("enn", 5)]
+        expected = [[Balancer(m, k=k).fit_resample(X, y) for m, k in steps] for X, y in tables]
+        start = threading.Barrier(8)
+        wrong = []
+
+        def work(offset):
+            with shared_graphs():
+                start.wait(timeout=60)
+                for t, (X, y) in enumerate(tables):
+                    # Each thread walks the depths from its own starting step.
+                    for s in range(len(steps)):
+                        s = (s + offset) % len(steps)
+                        Xt, yt = Balancer(steps[s][0], k=steps[s][1]).fit_resample(X, y)
+                        Xe, ye = expected[t][s]
+                        if not (np.array_equal(Xt, Xe) and np.array_equal(yt, ye)):
+                            wrong.append((offset, t, s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert neighbors._scopes == 0 and not neighbors._graphs
 
 
 class TestKnnSearchMatchesArgsort:
