@@ -8,7 +8,6 @@ the TABCASH_PARALLELISM environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -41,8 +40,10 @@ from .tabular import (
     TASKS,
     Dataset,
     load_csv,
+    quote_text,
     read_csv_header,
     write_csv,
+    write_fields,
 )
 
 logger = logging.getLogger(__name__)
@@ -237,19 +238,18 @@ def _write_report(out_dir: Path, report: dict, prefix: str = "") -> None:
 
 
 def _write_predictions(path, bundle, labels) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if bundle.probabilities is not None:
-            lookup = np.asarray(labels, dtype=object)
-            header = ["prediction"] + [f"class_{label}" for label in labels]
-            writer.writerow(header)
-            values = lookup[bundle.values.astype(int)]
-            for v, row in zip(values, bundle.probabilities):
-                writer.writerow([v] + [repr(float(p)) for p in row])
-        else:
-            writer.writerow(["prediction"])
-            for v in bundle.values:
-                writer.writerow([repr(float(v))])
+    if bundle.probabilities is not None:
+        header = ["prediction"] + [f"class_{label}" for label in labels]
+        values = np.asarray(labels, dtype=object)[bundle.values.astype(int)]
+        columns = [quote_text([str(v) for v in values.tolist()])]
+        columns += [_reprs(p) for p in bundle.probabilities.T]
+    else:
+        header, columns = ["prediction"], [_reprs(bundle.values)]
+    write_fields(path, header, columns)
+
+
+def _reprs(values) -> list[str]:
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
 def _fit_model(config: ExperimentConfig, train: Dataset, metric, search_space):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,9 @@ MAX_CLASS_LEVELS = 20
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
+
+# The characters csv.writer quotes a field for in its excel dialect.
+_needs_quotes = re.compile('[,"\r\n]').search
 
 
 @dataclass(frozen=True)
@@ -240,41 +245,48 @@ def _encode_response(raw_labels: list, task: str) -> tuple[np.ndarray, tuple]:
     return codes, labels
 
 
-def _build_feature_column(cells: list[str | None], name: str, forced: str | None = None):
-    """Infer one column: numeric iff every non-missing cell parses.
+def _build_feature_column(cells: Sequence[str | None], name: str, forced: str | None = None):
+    """Infer one column: numeric iff every non-missing cell parses as a finite number.
 
-    A forced kind overrides inference: forced numeric turns unparseable
-    cells into missing values; forced categorical keeps numeric-looking
-    cells as string labels.
+    An unforced column is parsed once; the first cell ``float`` rejects
+    makes it categorical. A forced kind overrides inference: forced
+    numeric turns unparseable or non-finite cells into missing values
+    (cell by cell, once a cell fails to parse); forced categorical keeps
+    numeric-looking cells as string labels.
     """
     absent = cells.count(None)
     if forced != CATEGORICAL:
-        values = _parse_column(cells)
-        missing = int(np.isnan(values).sum())
-        if forced == NUMERIC or missing == absent:
+        values = _parse_floats(cells)
+        if forced == NUMERIC:
+            if values is None:
+                parsed = (None if c is None else _parse_number(c) for c in cells)
+                values = np.array([math.nan if p is None else p for p in parsed], dtype=float)
+            values[~np.isfinite(values)] = math.nan
+            missing = int(np.isnan(values).sum())
             return values, ColumnSchema(name, NUMERIC, missing_count=missing)
-    categories = tuple(dict.fromkeys(c for c in cells if c is not None))
+        if values is not None and int(np.isfinite(values).sum()) == len(cells) - absent:
+            return values, ColumnSchema(name, NUMERIC, missing_count=absent)
+    categories = dict.fromkeys(cells)
+    categories.pop(None, None)
     values = np.array(cells, dtype=object)
     return values, ColumnSchema(
-        name, CATEGORICAL, missing_count=absent, categories=categories
+        name, CATEGORICAL, missing_count=absent, categories=tuple(categories)
     )
 
 
-def _parse_column(cells: list[str | None]) -> np.ndarray:
-    """Float64 values of one column; NaN where a cell is missing or not a finite number."""
+def _parse_floats(cells: Sequence[str | None]) -> np.ndarray | None:
+    """Float64 values of one column (NaN where a cell is missing), or None
+    at the first cell ``float`` rejects."""
     try:
-        values = np.array([math.nan if c is None else float(c) for c in cells], dtype=float)
+        return np.array([math.nan if c is None else float(c) for c in cells], dtype=float)
     except ValueError:
-        parsed = (None if c is None else _parse_number(c) for c in cells)
-        values = np.array([math.nan if p is None else p for p in parsed], dtype=float)
-    values[np.isinf(values)] = math.nan
-    return values
+        return None
 
 
 def read_csv_header(path) -> list[str]:
     """Just the header row of a CSV file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             try:
                 return next(csv.reader(fh))
             except StopIteration:
@@ -296,11 +308,13 @@ def load_csv(
     numeric; the rest become categorical with categories ordered by first
     appearance. ``column_kinds`` forces kinds per feature column instead.
     ``response_column=None`` loads a feature-only table (for prediction).
-    ``task`` forces the task kind instead of inferring it.
+    ``task`` forces the task kind instead of inferring it. A UTF-8 byte
+    order mark is dropped and blank lines are skipped; an error names a
+    row by its line in the file, counting each row as one line.
     """
     missing_tokens = frozenset(missing_tokens)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -314,10 +328,16 @@ def load_csv(
     repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
     if repeated is not None:
         raise SchemaError(f"{path}: column {repeated!r} appears more than once in the header")
+    # csv.reader returns a blank line as an empty row. An empty cell of a
+    # one-column file is written "" and reads as [""], so it is kept.
+    lines = range(2, len(rows) + 2)
+    if [] in rows:
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
     width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise SchemaError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise SchemaError(f"{path}: row {lines[i]} has {len(rows[i])} cells, expected {width}")
 
     if response_column is not None and response_column not in header:
         raise ConfigurationError(
@@ -334,9 +354,11 @@ def load_csv(
                 "the response kind is governed by the task, not column_kinds"
             )
 
-    columns: dict[str, list[str | None]] = {h: [] for h in header}
-    for h, cells in zip(header, zip(*rows)):
-        columns[h] += [None if cell in missing_tokens else cell for cell in cells]
+    columns = {
+        h: cells if missing_tokens.isdisjoint(cells)
+        else [None if cell in missing_tokens else cell for cell in cells]
+        for h, cells in zip(header, list(zip(*rows)) or [()] * width)
+    }
 
     feature_names = [h for h in header if h != response_column]
     feats = []
@@ -358,26 +380,26 @@ def load_csv(
         return Dataset(X=X, y=None, schema=tuple(schemas))
 
     raw = columns[response_column]
-    if any(c is None for c in raw):
-        bad = next(i for i, c in enumerate(raw) if c is None)
+    if None in raw:
         raise DataError(
-            f"response column {response_column!r} has a missing value at row {bad + 2}"
+            f"response column {response_column!r} has a missing value at row "
+            f"{lines[raw.index(None)]}"
         )
-    parsed = [_parse_number(c) for c in raw]
-    response_numeric = all(p is not None for p in parsed)
+    values = _parse_floats(raw)
+    response_numeric = values is not None and bool(np.isfinite(values).all())
 
     if task is not None and task not in TASKS:
         raise ConfigurationError(f"unknown task {task!r}")
     if response_numeric:
         # A forced task skips inference (a constant response is only an
         # error when the task must be inferred from it).
-        chosen = task or infer_task(np.asarray(parsed, dtype=float))
+        chosen = task or infer_task(values)
         if chosen == REGRESSION:
-            raw_labels: list = parsed
+            raw_labels = values
         else:
-            if not _is_integer_valued(np.unique(np.asarray(parsed))):
+            if not _is_integer_valued(np.unique(values)):
                 raise DataError("classification requires integer-valued class labels")
-            raw_labels = [int(p) for p in parsed]
+            raw_labels = [int(p) for p in values.tolist()]
     else:
         if task == REGRESSION:
             raise DataError("response is non-numeric; cannot treat as regression")
@@ -419,10 +441,46 @@ def _format_cell(value) -> str:
 
 
 def _format_column(values: np.ndarray) -> list[str]:
-    """CSV fields of one column, ``_format_cell`` of each value."""
-    if values.dtype == np.float64:
-        return ["" if v != v else repr(v) for v in values.tolist()]
-    return [_format_cell(v) for v in values.tolist()]
+    """CSV fields of one column: ``_format_cell`` of each value, quoted as
+    ``quote_text`` quotes. A column of floats (a numeric column of an
+    object table too) holds no character that needs quotes, so it is not
+    scanned."""
+    cells = values.tolist()
+    if values.dtype == np.float64 or set(map(type, cells)) <= {float}:
+        return ["" if v != v else repr(v) for v in cells]
+    return quote_text([_format_cell(v) for v in cells])
+
+
+def quote_text(fields: list[str]) -> list[str]:
+    """csv.writer's minimal quoting of a column of text fields.
+
+    A field holding a comma, a double quote, CR or LF is wrapped in double
+    quotes with its inner quotes doubled; one join clears a column that
+    needs none.
+    """
+    if not _needs_quotes("".join(fields)):
+        return fields
+    return ['"' + f.replace('"', '""') + '"' if _needs_quotes(f) else f for f in fields]
+
+
+def write_fields(path, header: list[str], columns: list[list[str]]) -> None:
+    """Write a header and columns of CSV fields, streamed row by row.
+
+    The bytes equal what ``csv.writer`` writes in its excel dialect: CRLF
+    line ends and minimal quoting. The header is quoted here; ``columns``
+    must already be quoted (``quote_text``, or fields such as float reprs
+    that need no quotes) and match the header in number.
+    """
+    header = quote_text(list(header))
+    if len(header) == 1:
+        # A row's lone empty field is written "", or it would read back as a blank line.
+        header, column = (['""' if f == "" else f for f in c] for c in (header, columns[0]))
+        columns = [column]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        if columns:
+            last = [f + "\r\n" for f in columns[-1]]
+            fh.writelines(map(",".join, zip(*columns[:-1], last)))
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -437,10 +495,7 @@ def write_csv(dataset: Dataset, path) -> None:
             else dataset.y
         )
         columns.append(_format_column(y_out))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    write_fields(path, header, columns)
 
 
 def split_dataset(

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -249,6 +250,26 @@ class TestFit:
         rows = ["oops,1,1.0", "0.5,2,-0.5", "0.1,x,3.1"]
         _, fitted, predicted = self._fit_with_test_file(tmp_path, rows)
         assert fitted == predicted
+
+
+    def test_byte_order_mark_train_file(self, tmp_path):
+        # A train file saved with a BOM names its first column "x0", as the
+        # BOM-less test file does.
+        ds = generate(GeneratorSpec(kind="gaussian", n_rows=100, n_features=3, seed=4))
+        split = split_dataset(ds, test_fraction=0.2, valid_fraction=0.0, seed=0)
+        write_csv(ds.take_rows(split.train_indices), tmp_path / "plain.csv")
+        write_csv(ds.take_rows(split.test_indices), tmp_path / "test.csv")
+        text = (tmp_path / "plain.csv").read_text(encoding="utf-8")
+        (tmp_path / "train.csv").write_text(text, encoding="utf-8-sig", newline="")
+        cfg = write_config(tmp_path, test_path=str(tmp_path / "test.csv"))
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        run = tmp_path / "runs" / "exp"
+        for data, fitted in (("test.csv", "predictions_test.csv"),
+                             ("train.csv", "predictions_train.csv")):
+            out = tmp_path / f"predicted_{data}"
+            assert main(["predict", "--model", str(run / "model.json"),
+                         "--data", str(tmp_path / data), "--output", str(out)]) == EXIT_OK
+            assert out.read_bytes() == (run / fitted).read_bytes()
 
 
 class TestEnsembleStrategies:
@@ -507,6 +528,28 @@ class TestPredict:
         )
         header = out.read_text().splitlines()[0]
         assert header == "prediction,class_0,class_1"
+
+    def test_class_labels_that_need_quotes(self, tmp_path):
+        ds = generate(
+            GeneratorSpec(kind="imbalanced_binary", n_rows=80, imbalance_ratio=3.0, seed=2)
+        )
+        labels = ('say "no"', "yes,\r\nsure")
+        rows = [[repr(v) for v in x] + [labels[c]] for x, c in zip(ds.X.tolist(), ds.y.tolist())]
+        with open(tmp_path / "train.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([list(ds.feature_names) + ["response"]] + rows)
+        cfg = write_config(tmp_path, task="binary_classification", objective="auc", max_evals=4)
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(tmp_path / "runs" / "exp" / "model.json"),
+                     "--data", str(tmp_path / "train.csv"), "--output", str(out)]) == EXIT_OK
+        with open(out, newline="", encoding="utf-8") as fh:
+            read = list(csv.reader(fh))
+        assert read[0] == ["prediction"] + [f"class_{label}" for label in sorted(labels)]
+        assert {row[0] for row in read[1:]} <= set(labels) and len(read) == 81
+        # csv.writer is the reference for the bytes.
+        with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(read)
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestHistoryCommand:

@@ -9,6 +9,7 @@ from tabcash.synthdata import GeneratorSpec, generate
 from tabcash.tabular import (
     BINARY,
     CATEGORICAL,
+    DEFAULT_MISSING_TOKENS,
     MULTICLASS,
     NUMERIC,
     REGRESSION,
@@ -18,6 +19,7 @@ from tabcash.tabular import (
     load_csv,
     log1p_transform,
     make_folds,
+    read_csv_header,
     split_dataset,
     write_csv,
 )
@@ -119,6 +121,31 @@ class TestLoadCsv:
         with pytest.raises(ConfigurationError):
             load_csv(path, "y", column_kinds={"y": "categorical"})
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a BOM.
+        path = tmp_path / "bom.csv"
+        path.write_text("x0,y\n1.5,0\n2.5,1\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_csv_header(path) == ["x0", "y"]
+        ds = load_csv(path, "x0")
+        assert ds.feature_names == ("y",) and ds.y.tolist() == [1.5, 2.5]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = load_csv(_write(tmp_path, "a,y\n1,0\n\n2,1\n3,0\n\n"), "y")
+        assert ds.X[:, 0].tolist() == [1.0, 2.0, 3.0] and ds.y.tolist() == [0, 1, 0]
+        # A written empty cell of a one-column file is "" and stays a row.
+        one = load_csv(_write(tmp_path, 'a\r\n1\r\n""\r\n\r\n2\r\n', name="one.csv"), None)
+        assert one.n_rows == 3 and one.schema[0].missing_count == 1
+        assert math.isnan(one.X[1, 0])
+
+    @pytest.mark.parametrize("text, response, message", [
+        ("a,y\n1,0\n\n2\n", "y", "row 4 has 1 cells, expected 2"),
+        ("a,y\n\n\n1,0\n2,\n", "y", "missing value at row 5"),
+    ], ids=["ragged", "missing-response"])
+    def test_errors_name_the_file_line_past_blank_lines(self, tmp_path, text, response, message):
+        with pytest.raises((SchemaError, DataError), match=message):
+            load_csv(_write(tmp_path, text), response)
+
     @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_number_makes_column_categorical(self, tmp_path, token):
         path = _write(tmp_path, f"a,y\n1,0\n{token},1\n2,0\n")
@@ -126,6 +153,86 @@ class TestLoadCsv:
         forced = load_csv(path, "y", column_kinds={"a": NUMERIC})
         assert forced.schema[0].missing_count == 1
         assert forced.X[:, 0].tolist()[::2] == [1.0, 2.0] and math.isnan(forced.X[1, 0])
+
+
+def _reference_load(path, response, missing_tokens, kinds):
+    """The per-cell loader: each cell parsed on its own, a column numeric iff
+    every non-missing cell is a finite number, unless its kind is forced."""
+    def number(cell):
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    columns = {h: [None if c in missing_tokens else c for c in cells]
+               for h, cells in zip(header, zip(*rows))}
+    features, schema = [], []
+    for name in header:
+        cells, forced = columns[name], kinds.get(name)
+        absent = cells.count(None)
+        parsed = [None if c is None else number(c) for c in cells]
+        missing = parsed.count(None)
+        if name != response and forced != CATEGORICAL and (forced == NUMERIC or missing == absent):
+            features.append([math.nan if p is None else p for p in parsed])
+            schema.append(ColumnSchema(name, NUMERIC, missing_count=missing))
+        elif name != response:
+            features.append(cells)
+            schema.append(ColumnSchema(name, CATEGORICAL, absent, tuple(dict.fromkeys(
+                c for c in cells if c is not None))))
+    parsed = [number(c) for c in columns[response]]
+    y = parsed if None not in parsed else columns[response]
+    return np.array(features, dtype=object).T, tuple(schema), y
+
+
+class TestLoadMatchesCellByCell:
+    """``load_csv`` parses an unforced column once; the per-cell loader is the reference."""
+
+    @staticmethod
+    def _table(tmp_path, n=300):
+        rng = np.random.default_rng(3)
+        numbers = [repr(float(v)) for v in rng.normal(size=n)]
+        late = n - 2  # the first cell that is not a finite number comes late
+        cols = {
+            "clean": numbers,
+            "late_text": numbers[:late] + ["x", "1"],
+            "late_inf": numbers[:late] + ["inf", "2"],
+            "late_nan": numbers[:late] + ["nan", "3"],
+            "late_NaN": numbers[:late] + ["NaN", "-0"],
+            "tokens": [["", "NA", "?", "null", "4"][i % 5] if i % 3 == 0 else numbers[i]
+                       for i in range(n)],
+            "codes": [str(i % 4) for i in range(n)],
+            "text": [["red", "", "1e999", "blue"][i % 4] for i in range(n)],
+            "y": [repr(float(v)) for v in rng.poisson(2.0, size=n)],
+        }
+        lines = [",".join(cols)] + [",".join(r) for r in zip(*cols.values())]
+        return _write(tmp_path, "\n".join(lines) + "\n"), list(cols)[:-1]
+
+    @pytest.mark.parametrize("missing_tokens", [DEFAULT_MISSING_TOKENS, {"?", "NA"}])
+    @pytest.mark.parametrize("forced", [None, NUMERIC, CATEGORICAL, "mixed"])
+    def test_matches_cell_by_cell(self, tmp_path, missing_tokens, forced):
+        path, names = self._table(tmp_path)
+        if forced == "mixed":
+            kinds = {n: (NUMERIC, CATEGORICAL)[i % 2] for i, n in enumerate(names[::2])}
+        else:
+            kinds = {n: forced for n in names} if forced else {}
+        ds = load_csv(path, "y", missing_tokens=missing_tokens, task=REGRESSION,
+                      column_kinds=kinds)
+        X, schema, y = _reference_load(path, "y", frozenset(missing_tokens), kinds)
+        assert ds.schema == schema
+        # repr tells -0.0 from 0.0, a NaN from None, and a float from a string.
+        assert [repr(v) for v in ds.X.ravel().tolist()] == [repr(v) for v in X.ravel().tolist()]
+        assert ds.y.tolist() == y
+
+    @pytest.mark.parametrize("cell", ["x", "inf", "nan"])
+    def test_late_non_number_makes_a_text_response(self, tmp_path, cell):
+        path = _write(tmp_path, "a,y\n" + "1,0\n2,1\n" * 20 + f"3,{cell}\n")
+        ds = load_csv(path, "y", task=MULTICLASS)
+        assert ds.response.kind == CATEGORICAL and ds.labels == tuple(sorted({"0", "1", cell}))
+        assert ds.original_labels(ds.y).tolist() == _reference_load(
+            path, "y", DEFAULT_MISSING_TOKENS, {})[2]
 
 
 class TestFeatureDtype:
@@ -344,6 +451,29 @@ class TestRoundTrip:
             Dataset(mixed, codes, num + (cat,), ColumnSchema("y", NUMERIC), BINARY, (0, 1)),
             generate(GeneratorSpec("gaussian", n_rows=30, n_features=2, n_categorical=1,
                                    missing_fraction=0.3, seed=5)),
+        ]
+        # Text that csv quotes, or that looks as if it might need quotes.
+        nasty = ["a,b", 'say "hi"', "cr\rx", "lf\nx", "crlf\r\n", " lead", '"', "", None,
+                 "caf\u00e9 \u2615 \u65e5\u672c"]
+        adv = np.empty((len(nasty), 2), dtype=object)
+        adv[:, 0] = odd + [2.5]
+        adv[:, 1] = nasty
+        adv_schema = (ColumnSchema(" lead,", NUMERIC), ColumnSchema(
+            'q"\r\n', CATEGORICAL, categories=tuple(v for v in nasty if v is not None)))
+        labels = ("a,b", ' say "hi"\r')
+        one = (ColumnSchema("a", NUMERIC),)
+        tables += [
+            Dataset(adv, np.arange(len(nasty)) % 2, adv_schema,
+                    ColumnSchema("\u00fc\n", CATEGORICAL, categories=labels), BINARY, labels),
+            Dataset(adv, None, adv_schema),
+            Dataset(np.array([[1.0], [np.nan], [2.0]]), None, one),
+            Dataset(np.array([["u"], [None], [""]], dtype=object), None,
+                    (ColumnSchema("", CATEGORICAL, categories=("u",)),)),
+            Dataset(np.empty((3, 0)), np.array([1.0, np.nan, -0.0]), (),
+                    ColumnSchema("y", NUMERIC), REGRESSION),
+            Dataset(np.empty((0, 2)), np.empty(0), num, ColumnSchema("y", NUMERIC), REGRESSION),
+            Dataset(np.empty((0, 1)), None, (ColumnSchema("", NUMERIC),)),
+            Dataset(np.empty((0, 0)), None, ()),
         ]
         for k, ds in enumerate(tables):
             write_csv(ds, tmp_path / f"new{k}.csv")
