@@ -1,5 +1,9 @@
 """Command-line front end: fit, predict, history, glm-baseline, synth.
 
+``glm-baseline`` fits one fixed spec (onehot, mean imputation, the task's
+GLM) on every training row through ``engine.fit_pipeline_on_rows``, as a
+search trial does; ``offset_column`` is read at load as ``Dataset.offset``.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 search
 produced no valid pipeline. The default parallelism can be set through
 the TABCASH_PARALLELISM environment variable.
@@ -30,8 +34,6 @@ from .errors import (
     SchemaError,
     TabcashError,
 )
-from .models import LogisticModel, PoissonGLM, RidgeRegression
-from .preprocess import Encoder, Imputer
 from .tabular import (
     BINARY,
     DEFAULT_MISSING_TOKENS,
@@ -168,33 +170,38 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(payload)
 
 
-def _load_data(config: ExperimentConfig) -> tuple[Dataset, Dataset | None, metrics.Metric]:
-    """Train and test tables plus the objective, checked against the task."""
+def _load_data(
+    config: ExperimentConfig, offset_column: str | None = None
+) -> tuple[dict[str, Dataset], metrics.Metric]:
+    """The train and (if any) test tables by split name, and the objective checked on them."""
     train = load_csv(
         config.data_path,
         config.response_column,
         missing_tokens=config.missing_tokens,
         task=None if config.task == "auto" else config.task,
         column_kinds=config.column_kinds,
+        offset_column=offset_column,
     )
     metric = metrics.get_metric(config.objective)
     _check_objective(metric, train)
-    return train, _load_test(config, train), metric
+    test = _load_test(config, train, offset_column)
+    return ({"train": train} if test is None else {"train": train, "test": test}), metric
 
 
-def _load_under_schema(path, schema, missing_tokens, response_column=None, task=None) -> Dataset:
+def _load_under_schema(path, schema, missing_tokens, response_column=None, task=None,
+                       offset_column=None) -> Dataset:
     """Load a CSV for a fitted model; each fitted column keeps its fit-time kind."""
     header = set(read_csv_header(path))
     kinds = {c.name: c.kind for c in schema if c.name in header}
-    return load_csv(path, response_column, missing_tokens, task=task, column_kinds=kinds)
+    return load_csv(path, response_column, missing_tokens, task=task, column_kinds=kinds,
+                    offset_column=offset_column)
 
 
-def _load_test(config: ExperimentConfig, train: Dataset) -> Dataset | None:
+def _load_test(config: ExperimentConfig, train: Dataset, offset_column) -> Dataset | None:
     if not config.test_path:
         return None
-    test = _load_under_schema(
-        config.test_path, train.schema, config.missing_tokens, config.response_column, train.task
-    )
+    test = _load_under_schema(config.test_path, train.schema, config.missing_tokens,
+                              config.response_column, train.task, offset_column)
     if not train.is_classification():
         return test
     mapping = {label: code for code, label in enumerate(train.labels)}
@@ -216,6 +223,16 @@ def _check_objective(metric: metrics.Metric, dataset: Dataset) -> None:
         raise ConfigurationError(
             "objective 'poisson_deviance' requires a nonnegative response"
         )
+
+
+def _served(model, splits: dict[str, Dataset]):
+    """Each split's name, table and predictions, served through ``model.align``."""
+    for name, dataset in splits.items():
+        X, ignored = model.align(dataset)
+        if ignored:
+            logger.warning("ignoring unknown %s columns: %s", name, ignored)
+        offset = {} if dataset.offset is None else {"offset": dataset.offset}
+        yield name, dataset, model.predict_bundle(X, **offset)
 
 
 def _report(dataset: Dataset, bundle: metrics.PredictionBundle) -> dict:
@@ -323,7 +340,8 @@ def _fit_model(config: ExperimentConfig, train: Dataset, metric, search_space):
 
 
 def cmd_fit(config: ExperimentConfig) -> int:
-    train, test, metric = _load_data(config)
+    splits, metric = _load_data(config)
+    train = splits["train"]
     search_space = space_mod.apply_overrides(
         space_mod.default_space(train.task, y=train.y, n_features=train.n_features),
         config.space,
@@ -334,13 +352,8 @@ def cmd_fit(config: ExperimentConfig) -> int:
     model = _fit_model(config, train, metric, search_space)
     ensemble_mod.save_model(model, out_dir / MODEL_FILE)
 
-    splits = {"train": train} if test is None else {"train": train, "test": test}
     report = {}
-    for split_name, dataset in splits.items():
-        X, ignored = model.align(dataset)
-        if ignored:
-            logger.warning("ignoring unknown test columns: %s", ignored)
-        bundle = model.predict_bundle(X)
+    for split_name, dataset, bundle in _served(model, splits):
         report[split_name] = _report(dataset, bundle)
         _write_predictions(out_dir / f"predictions_{split_name}.csv", bundle, train.labels)
     _write_report(out_dir, report)
@@ -418,69 +431,28 @@ def cmd_history(directory, top: int = 10) -> int:
     return EXIT_OK
 
 
-def _glm_for_task(train: Dataset):
-    if train.is_classification():
-        return LogisticModel()
-    y = np.asarray(train.y, dtype=float)
-    if (y >= 0).all() and (y == np.round(y)).all():
-        return PoissonGLM()
-    return RidgeRegression(alpha=1e-3)
-
-
-def _split_offset(dataset: Dataset, column: str, path) -> tuple[Dataset, np.ndarray]:
-    """The table without the exposure column, and the log of that column."""
-    names = list(dataset.feature_names)
-    if column not in names:
-        raise ConfigurationError(f"offset column {column!r} not in {path}")
-    j = names.index(column)
-    try:
-        exposure = dataset.X[:, j].astype(float)
-    except (TypeError, ValueError):
-        exposure = np.array([np.nan])
-    if np.isnan(exposure).any() or (exposure <= 0).any():
-        raise DataError(f"offset column {column!r} in {path} must be positive and complete")
-    keep = np.ones(dataset.n_features, dtype=bool)
-    keep[j] = False
-    return dataset.select_features(keep), np.log(exposure)
-
-
 def cmd_glm_baseline(config: ExperimentConfig) -> int:
-    """Fit the task-matched GLM on one-hot encoded, mean-imputed data."""
-    train, test, _ = _load_data(config)
-    splits = {"train": train} if test is None else {"train": train, "test": test}
-    offsets = dict.fromkeys(splits)
-    if config.offset_column:
-        paths = {"train": config.data_path, "test": config.test_path}
-        for name, dataset in splits.items():
-            splits[name], offsets[name] = _split_offset(dataset, config.offset_column, paths[name])
-        train = splits["train"]
+    """Fit the fixed onehot -> mean -> GLM pipeline on every training row.
 
-    encoder = Encoder("onehot").fit(train.X, train.schema)
-    imputer = Imputer("mean").fit(encoder.transform(train.X))
-    Xt = imputer.transform(encoder.transform(train.X))
-    model = _glm_for_task(train)
-    counts = isinstance(model, PoissonGLM)
-    if counts:
-        model.fit(Xt, train.y, offset=offsets["train"])
-    elif train.is_classification():
-        model.fit(Xt, train.y, n_classes=train.n_classes)
-    elif config.offset_column:
-        raise ConfigurationError("offset is only supported for count (Poisson) baselines")
+    The GLM is logistic for classification, the count model for a
+    nonnegative integer response, and ridge (alpha 1e-3) otherwise. The
+    fit is ``engine.fit_pipeline_on_rows``, as in every search trial; an
+    ``offset_column`` is read at load and reaches the count model.
+    """
+    splits, _ = _load_data(config, config.offset_column)
+    train = splits["train"]
+    if train.is_classification():
+        model = space_mod.StageChoice("logistic", {})
+    elif space_mod._is_nonneg_integer(train.y):
+        model = space_mod.StageChoice("poisson_glm", {})
     else:
-        model.fit(Xt, train.y)
+        model = space_mod.StageChoice("ridge", {"alpha": 1e-3})
+    methods = dict(encode="onehot", impute="mean", balance="none", scale="none", select="none")
+    stages = {stage: space_mod.StageChoice(method, {}) for stage, method in methods.items()}
+    spec = space_mod.PipelineSpec({**stages, "model": model}, seed=0)
+    pipeline = engine.fit_pipeline_on_rows(spec, train, np.arange(train.n_rows))
 
-    report = {}
-    for name, dataset in splits.items():
-        X, ignored = engine.align(train.schema, dataset)
-        if ignored:
-            logger.warning("ignoring unknown %s columns: %s", name, ignored)
-        X = imputer.transform(encoder.transform(X))
-        if counts:
-            bundle = metrics.PredictionBundle.regression(model.predict(X, offset=offsets[name]))
-        else:
-            bundle = model.predict_bundle(X)
-        report[name] = _report(dataset, bundle)
-
+    report = {name: _report(data, bundle) for name, data, bundle in _served(pipeline, splits)}
     out_dir = Path(config.output_dir) / f"{config.model_name}_glm"
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir, report, prefix="glm ")

@@ -210,14 +210,27 @@ class TrainedPipeline:
         out = self.scaler.transform(out, copy=False)
         return self.selector.transform(out, copy=False)
 
-    def predict_bundle(self, X: np.ndarray) -> PredictionBundle:
-        return self.model.predict_bundle(self.transform(X))
+    def predict_bundle(self, X: np.ndarray, offset=None) -> PredictionBundle:
+        return self.model.predict_bundle(self.transform(X), offset=offset)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_bundle(X).values
 
     def align(self, dataset: Dataset) -> tuple[np.ndarray, list[str]]:
-        return align(self.feature_schema, dataset)
+        """Project a dataset onto the fit-time columns by name.
+
+        Extra columns are ignored (reported back); a missing column is an
+        error naming it.
+        """
+        available = {c.name: j for j, c in enumerate(dataset.schema)}
+        cols = []
+        for schema in self.feature_schema:
+            if schema.name not in available:
+                raise ConfigurationError(f"input is missing feature column {schema.name!r}")
+            cols.append(available[schema.name])
+        ignored = [c.name for c in dataset.schema if c.name not in
+                   {s.name for s in self.feature_schema}]
+        return dataset.X[:, cols], ignored
 
     def to_dict(self) -> dict:
         return {
@@ -255,28 +268,12 @@ class TrainedPipeline:
         )
 
 
-def align(feature_schema, dataset: Dataset) -> tuple[np.ndarray, list[str]]:
-    """Project a dataset onto the fit-time columns ``feature_schema`` by name.
-
-    Extra columns are ignored (reported back); a missing column is an
-    error naming it.
-    """
-    available = {c.name: j for j, c in enumerate(dataset.schema)}
-    cols = []
-    for schema in feature_schema:
-        if schema.name not in available:
-            raise ConfigurationError(f"input is missing feature column {schema.name!r}")
-        cols.append(available[schema.name])
-    ignored = [c.name for c in dataset.schema if c.name not in
-               {s.name for s in feature_schema}]
-    return dataset.X[:, cols], ignored
-
-
 def fit_pipeline_on_rows(spec: PipelineSpec, dataset: Dataset, rows) -> TrainedPipeline:
     """Fit all six stages on the given rows, in pipeline order.
 
     Balancing applies after imputation, to these training rows only, and
-    only for classification tasks.
+    only for classification tasks. The dataset's offset, if any, reaches
+    the model, and a model that takes none raises ``ConfigurationError``.
     """
     rows = np.asarray(rows, dtype=int)
     X_raw = dataset.X[rows]
@@ -302,10 +299,10 @@ def fit_pipeline_on_rows(spec: PipelineSpec, dataset: Dataset, rows) -> TrainedP
     if spec.method("model") == "random_forest":
         model_params.setdefault("seed", spec.seed)
     model = make_model(spec.method("model"), model_task, **model_params)
+    fit_args = model.offset_args(None if dataset.offset is None else dataset.offset[rows])
     if classification:
-        model.fit(Xf, yb, n_classes=dataset.n_classes)
-    else:
-        model.fit(Xf, yb)
+        fit_args["n_classes"] = dataset.n_classes
+    model.fit(Xf, yb, **fit_args)
     return TrainedPipeline(
         spec=spec,
         encoder=encoder,
@@ -453,6 +450,8 @@ def optimize(
     """
     if metric is None:
         raise ConfigurationError("optimize requires a metric")
+    if dataset.offset is not None:
+        raise ConfigurationError("the search takes no offset; load the table without one")
     if parallelism < 1:
         raise ConfigurationError("parallelism must be at least 1")
     if isinstance(sampler, str):

@@ -3,8 +3,8 @@
 Stacking fits the top trials of a finished search once each, after it.
 Bagging runs an independent search per random feature subset with budgets
 split across subsets, and each member only ever sees its own columns.
-Boosting (regression only) chains searches on residual responses, and its
-prediction is the exact sum of the stage predictions.
+Boosting (regression only, under no count objective) chains searches on
+residual responses; its prediction is the exact sum of the stage predictions.
 
 Voting: regression ensembles aggregate member values (mean, median, max,
 or sum for boosting); classification ensembles vote soft (summed
@@ -332,6 +332,8 @@ def build_boosting(
     """
     if dataset.is_classification():
         raise ConfigurationError("boosting supports regression tasks only")
+    if metric.id == "poisson_deviance":  # residuals go negative: no count objective scores them
+        raise ConfigurationError(f"boosting cannot fit residuals under objective {metric.id!r}")
     if n_members < 1:
         raise ConfigurationError("ensemble size must be at least 1")
     sub_budget = _per_member_budget(budget, n_members)

@@ -41,10 +41,10 @@ class PredictionBundle:
             p = np.asarray(self.probabilities, dtype=float)
             if p.ndim != 2 or p.shape[0] != len(self.values):
                 raise ContractError("probability table must be (n_rows, n_classes)")
-            if (p < -PROBABILITY_TOL).any() or (p > 1 + PROBABILITY_TOL).any():
+            # Each check is negated, so a NaN fails it.
+            if not ((p >= -PROBABILITY_TOL).all() and (p <= 1 + PROBABILITY_TOL).all()):
                 raise ContractError("probabilities must lie in [0, 1]")
-            sums = p.sum(axis=1)
-            if np.abs(sums - 1.0).max() > PROBABILITY_TOL:
+            if not (np.abs(p.sum(axis=1) - 1.0) <= PROBABILITY_TOL).all():
                 raise ContractError("probability rows must sum to 1")
 
     @staticmethod

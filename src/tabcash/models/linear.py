@@ -56,10 +56,13 @@ def _irls(A, y, beta, mean, variance, half_deviance, penalty, max_iter, tol, off
         W = variance(mu)
         z = (eta - offset) + (y - mu) / W
         AtW = A.T * W
+        lhs, rhs = AtW @ A + np.diag(penalty), AtW @ z
         try:
-            proposal = np.linalg.solve(AtW @ A + np.diag(penalty), AtW @ z)
+            proposal = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
-            raise FitError("singular weighted least-squares system") from None
+            # Rank deficient, as when a complete column's one-hot block sums
+            # to the intercept column: take the minimum-norm solution.
+            proposal = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
         for halvings in range(10):
             candidate = beta + 0.5**halvings * (proposal - beta)
             eta_c, mu_c, dev_c = evaluate(candidate)
@@ -168,6 +171,7 @@ class PoissonGLM(Model):
     """
 
     method = "poisson_glm"
+    takes_offset = True
     _fitted = ("coef_", "n_features_")
 
     def __init__(self, max_iter: int = 100, tol: float = 1e-8):

@@ -32,10 +32,19 @@ class Model(Component):
 
     method = "base"
     task = "regression"
+    takes_offset = False  # whether fit and predict take a per-row ``offset``
 
     @property
     def is_classifier(self) -> bool:
         return self.task == "classification"
+
+    def offset_args(self, offset) -> dict:
+        """``fit`` or ``predict`` keywords that hand over ``offset``; ``{}`` for None."""
+        if offset is not None and not self.takes_offset:
+            raise ConfigurationError(
+                f"offset is only supported for count (Poisson) models, not {self.method!r}"
+            )
+        return {} if offset is None else {"offset": offset}
 
     def fit(self, X, y):  # pragma: no cover - interface
         raise NotImplementedError
@@ -47,11 +56,12 @@ class Model(Component):
         self._inputs(X, proba=True)
         raise NotImplementedError  # pragma: no cover - a classifier defines its own
 
-    def predict_bundle(self, X) -> PredictionBundle:
+    def predict_bundle(self, X, offset=None) -> PredictionBundle:
+        args = self.offset_args(offset)
         if self.is_classifier:
             probs = self.predict_proba(X)
             return PredictionBundle(values=np.argmax(probs, axis=1), probabilities=probs)
-        return PredictionBundle.regression(self.predict(X))
+        return PredictionBundle.regression(self.predict(X, **args))
 
     def _fit_inputs(self, X, y, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Checked float ``X``, and ``y`` as int class codes or floats.

@@ -18,7 +18,7 @@ import numpy as np
 from . import balance, preprocess
 from .errors import ConfigurationError
 from .models import CLASSIFICATION_MODELS, MODEL_METHODS, REGRESSION_MODELS
-from .tabular import REGRESSION
+from .tabular import REGRESSION, TASKS
 
 STAGES = ("encode", "impute", "balance", "scale", "select", "model")
 
@@ -217,6 +217,9 @@ def default_space(task: str, y=None, n_features: int | None = None) -> SearchSpa
     regression menu when the response is nonnegative integers).
     ``n_features`` bounds the top-k correlation selector.
     """
+    if task not in TASKS:
+        name = task if isinstance(task, str) else type(task).__name__
+        raise ConfigurationError(f"unknown task {name!r}; expected one of {TASKS}")
     classification = task != REGRESSION
     if classification:
         model_menu = list(CLASSIFICATION_MODELS)

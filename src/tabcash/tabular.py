@@ -15,7 +15,7 @@ import csv
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,8 @@ class Dataset:
     is numeric (construction converts it), and an object array when a
     column is categorical. ``y`` is float64 for regression and int64 class
     codes for classification; ``labels`` maps codes back to the original
-    response values.
+    response values. ``offset`` is a per-row log exposure for a count
+    model, kept out of ``X`` like the response; None when there is none.
     """
 
     X: np.ndarray
@@ -72,14 +73,16 @@ class Dataset:
     response: ColumnSchema | None = None
     task: str | None = None
     labels: tuple = ()
+    offset: np.ndarray | None = None
 
     def __post_init__(self):
         if self.X.ndim != 2:
             raise SchemaError("feature table must be 2-dimensional")
         if len(self.schema) != self.X.shape[1]:
             raise SchemaError("schema length does not match feature column count")
-        if self.y is not None and len(self.y) != self.X.shape[0]:
-            raise SchemaError("response length does not match row count")
+        for name, array in (("response", self.y), ("offset", self.offset)):
+            if array is not None and len(array) != self.X.shape[0]:
+                raise SchemaError(f"{name} length does not match row count")
         if self.task is not None and self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
         if self.X.dtype != np.float64 and all(c.kind == NUMERIC for c in self.schema):
@@ -87,9 +90,9 @@ class Dataset:
                 object.__setattr__(self, "X", self.X.astype(np.float64))
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"numeric feature table holds a non-number: {exc}") from None
-        self.X.setflags(write=False)
-        if self.y is not None:
-            self.y.setflags(write=False)
+        for array in (self.X, self.y, self.offset):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
@@ -118,39 +121,26 @@ class Dataset:
         if not mask.any():
             raise ConfigurationError("feature mask keeps no columns")
         keep = np.flatnonzero(mask)
-        return Dataset(
+        return replace(
+            self,
             X=self.X[:, keep].copy(),
             y=None if self.y is None else self.y.copy(),
             schema=tuple(self.schema[j] for j in keep),
-            response=self.response,
-            task=self.task,
-            labels=self.labels,
         )
 
     def with_response(self, y: np.ndarray, task: str = REGRESSION) -> "Dataset":
         """Same features, replaced response (used for residual targets)."""
         y = np.asarray(y, dtype=float).copy()
-        if len(y) != self.n_rows:
-            raise SchemaError("replacement response length mismatch")
         name = self.response.name if self.response else "response"
-        return Dataset(
-            X=self.X,
-            y=y,
-            schema=self.schema,
-            response=ColumnSchema(name, NUMERIC),
-            task=task,
-            labels=(),
-        )
+        return replace(self, y=y, response=ColumnSchema(name, NUMERIC), task=task, labels=())
 
     def take_rows(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
-        return Dataset(
+        return replace(
+            self,
             X=self.X[indices].copy(),
             y=None if self.y is None else self.y[indices].copy(),
-            schema=self.schema,
-            response=self.response,
-            task=self.task,
-            labels=self.labels,
+            offset=None if self.offset is None else self.offset[indices].copy(),
         )
 
     def original_labels(self, codes: np.ndarray) -> np.ndarray:
@@ -301,6 +291,7 @@ def load_csv(
     missing_tokens=DEFAULT_MISSING_TOKENS,
     task: str | None = None,
     column_kinds: dict | None = None,
+    offset_column: str | None = None,
 ) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
@@ -308,9 +299,11 @@ def load_csv(
     numeric; the rest become categorical with categories ordered by first
     appearance. ``column_kinds`` forces kinds per feature column instead.
     ``response_column=None`` loads a feature-only table (for prediction).
-    ``task`` forces the task kind instead of inferring it. A UTF-8 byte
-    order mark is dropped and blank lines are skipped; an error names a
-    row by its line in the file, counting each row as one line.
+    ``task`` forces the task kind instead of inferring it.
+    ``offset_column`` names an exposure column: it is kept out of ``X``,
+    must be positive and complete, and its log becomes ``Dataset.offset``.
+    A UTF-8 byte order mark is dropped and blank lines are skipped; an
+    error names a row by the line of the file it ends on.
     """
     missing_tokens = frozenset(missing_tokens)
     try:
@@ -330,28 +323,31 @@ def load_csv(
         raise SchemaError(f"{path}: column {repeated!r} appears more than once in the header")
     # csv.reader returns a blank line as an empty row. An empty cell of a
     # one-column file is written "" and reads as [""], so it is kept.
-    lines = range(2, len(rows) + 2)
     if [] in rows:
-        lines = [line for line, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
     width = len(header)
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise SchemaError(f"{path}: row {lines[i]} has {len(rows[i])} cells, expected {width}")
+        raise SchemaError(
+            f"{path}: row {_line_of_row(path, i)} has {len(rows[i])} cells, expected {width}"
+        )
 
     if response_column is not None and response_column not in header:
         raise ConfigurationError(
             f"response column {response_column!r} not found in {path}"
         )
+    if offset_column is not None and offset_column not in set(header) - {response_column}:
+        raise ConfigurationError(f"offset column {offset_column!r} not in {path}")
     column_kinds = dict(column_kinds or {})
     for name, kind in column_kinds.items():
         if kind not in (NUMERIC, CATEGORICAL):
             raise ConfigurationError(f"unknown forced kind {kind!r} for column {name!r}")
         if name not in header:
             raise ConfigurationError(f"column_kinds names unknown column {name!r}")
-        if name == response_column:
+        if name in (response_column, offset_column):
             raise ConfigurationError(
-                "the response kind is governed by the task, not column_kinds"
+                f"column_kinds cannot force {name!r}: the task sets the response's kind, "
+                "and an offset is numeric"
             )
 
     columns = {
@@ -360,7 +356,7 @@ def load_csv(
         for h, cells in zip(header, list(zip(*rows)) or [()] * width)
     }
 
-    feature_names = [h for h in header if h != response_column]
+    feature_names = [h for h in header if h != response_column and h != offset_column]
     feats = []
     schemas = []
     for name in feature_names:
@@ -376,14 +372,24 @@ def load_csv(
         else np.empty((n_rows, 0), dtype=object)
     )
 
+    offset = None
+    if offset_column is not None:
+        exposure = _build_feature_column(columns[offset_column], offset_column, NUMERIC)[0]
+        bad = np.flatnonzero(~(exposure > 0))  # a missing or non-number cell is NaN
+        if len(bad):
+            raise DataError(
+                f"offset column {offset_column!r} in {path} must be positive and complete, "
+                f"not {columns[offset_column][bad[0]] or ''!r} at row {_line_of_row(path, bad[0])}"
+            )
+        offset = np.log(exposure)
     if response_column is None:
-        return Dataset(X=X, y=None, schema=tuple(schemas))
+        return Dataset(X=X, y=None, schema=tuple(schemas), offset=offset)
 
     raw = columns[response_column]
     if None in raw:
         raise DataError(
             f"response column {response_column!r} has a missing value at row "
-            f"{lines[raw.index(None)]}"
+            f"{_line_of_row(path, raw.index(None))}"
         )
     values = _parse_floats(raw)
     response_numeric = values is not None and bool(np.isfinite(values).all())
@@ -426,8 +432,17 @@ def load_csv(
         categories=() if response_numeric else tuple(sorted(set(raw))),
     )
     return Dataset(
-        X=X, y=y, schema=tuple(schemas), response=resp_schema, task=chosen, labels=labels
+        X=X, y=y, schema=tuple(schemas), response=resp_schema, task=chosen, labels=labels,
+        offset=offset,
     )
+
+
+def _line_of_row(path, i: int) -> int:
+    """The line that data row ``i`` (blank lines skipped) ends on. A quoted
+    field may span lines, so error paths read the file again."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        return [reader.line_num for row in reader if row][i + 1]
 
 
 def _format_cell(value) -> str:
@@ -574,11 +589,4 @@ def log1p_transform(
                 f"log1p undefined for response value {y[bad]} at row {bad}"
             )
         y = np.log1p(y)
-    return Dataset(
-        X=X,
-        y=None if y is None else np.asarray(y, dtype=float).copy(),
-        schema=dataset.schema,
-        response=dataset.response,
-        task=dataset.task,
-        labels=dataset.labels,
-    )
+    return replace(dataset, X=X, y=None if y is None else np.asarray(y, dtype=float).copy())

@@ -334,6 +334,15 @@ class TestEnsembleStrategies:
         lines = (out_dir / "group_02" / "history.jsonl").read_text().splitlines()
         assert lines and all(json.loads(line)["status"] != "valid" for line in lines)
 
+    def test_boosting_under_a_count_objective_is_config_error(self, tmp_path, capsys):
+        # Residuals go negative, so no stage after the first could be scored.
+        write_csv(generate(GeneratorSpec(kind="poisson", n_rows=80, n_features=3, seed=8)),
+                  tmp_path / "train.csv")
+        cfg = write_config(tmp_path, ensemble="boosting", objective="poisson_deviance")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "'poisson_deviance'" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "exp" / "group_01").exists()
+
     def test_boosting_on_classification_is_config_error(self, tmp_path):
         ds = generate(
             GeneratorSpec(kind="imbalanced_binary", n_rows=80, imbalance_ratio=2.0, seed=10)
@@ -710,6 +719,44 @@ class TestGlmBaseline:
         assert self._baseline_with_test_columns(tmp_path, ["response", "b"]) == EXIT_CONFIG
         assert "'a'" in capsys.readouterr().err
         assert not (tmp_path / "runs" / "cols_glm" / "report.json").exists()
+
+    def test_report_equals_a_one_point_search(self, tmp_path):
+        """The baseline is the search's own onehot -> mean -> poisson_glm trial, fitted on every row."""
+        ds = generate(GeneratorSpec(kind="poisson", n_rows=300, n_features=3, n_categorical=1,
+                                    missing_fraction=0.05, seed=4))
+        write_csv(ds, tmp_path / "train.csv")
+        methods = dict(encode="onehot", impute="mean", balance="none", scale="none",
+                       select="none", model="poisson_glm")
+        cfg = write_config(tmp_path, objective="poisson_deviance", model_name="pt", max_evals=1,
+                           validation="none", space={s: {"methods": [m]} for s, m in methods.items()})
+        assert main(["glm-baseline", "--config", str(cfg)]) == EXIT_OK
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        runs = tmp_path / "runs"
+        baseline = json.loads((runs / "pt_glm" / "report.json").read_text())["train"]
+        trial = json.loads((runs / "pt" / "report.json").read_text())["train"]
+        assert baseline == trial  # floats parsed from JSON: equal bits
+
+    def test_complete_categorical_one_hot_block_fits(self, tmp_path):
+        """A complete column's one-hot block sums to the intercept column; the count
+        GLM fits it in the baseline and in every onehot search trial."""
+        ds = generate(GeneratorSpec(kind="poisson", n_rows=400, n_features=4, n_categorical=2, seed=5))
+        write_csv(ds.take_rows(split_dataset(ds, 0.3, 0.0, 1).train_indices), tmp_path / "train.csv")
+        cfg = write_config(tmp_path, objective="poisson_deviance", model_name="hot",
+                           space={"encode": {"methods": ["onehot"]},
+                                  "model": {"methods": ["poisson_glm"]}})
+        assert main(["glm-baseline", "--config", str(cfg)]) == EXIT_OK
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        history = (tmp_path / "runs" / "hot" / "history.jsonl").read_text().splitlines()
+        assert [json.loads(line)["status"] for line in history] == ["valid"] * 4
+
+    def test_offset_needs_a_count_baseline(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        rows = [f"{rng.normal()!r},{rng.uniform(0.5, 2.0)!r},{rng.normal()!r}" for _ in range(40)]
+        (tmp_path / "train.csv").write_text("\n".join(["x0,exposure,response"] + rows) + "\n")
+        cfg = write_config(tmp_path, offset_column="exposure")
+        assert main(["glm-baseline", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "offset is only supported" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "exp_glm" / "report.json").exists()
 
     def test_binary_baseline_uses_logistic(self, tmp_path):
         ds = generate(

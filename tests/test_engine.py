@@ -29,7 +29,8 @@ from tabcash.errors import (
 from tabcash.metrics import get_metric
 from tabcash.space import PipelineSpec, StageChoice, default_space
 from tabcash.synthdata import GeneratorSpec, generate
-from tabcash.tabular import REGRESSION, make_folds, split_dataset
+from tabcash.models import PoissonGLM
+from tabcash.tabular import NUMERIC, REGRESSION, ColumnSchema, Dataset, make_folds, split_dataset
 
 
 def plain_spec(model="dummy", model_params=None, balance="none", balance_params=None, seed=7):
@@ -289,6 +290,45 @@ class TestTrainedPipeline:
         with pytest.raises(ConfigurationError) as err:
             pipe.align(smaller)
         assert "x2" in str(err.value)
+
+
+def exposure_dataset(n=120, seed=2):
+    """Counts around exposure * rate, with log(exposure) as the dataset's offset."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    exposure = rng.uniform(0.5, 2.0, n)
+    y = rng.poisson(exposure * np.exp(0.3 + 0.5 * X[:, 0])).astype(float)
+    return Dataset(X=X, y=y, schema=(ColumnSchema("a", NUMERIC), ColumnSchema("b", NUMERIC)),
+                   task=REGRESSION, offset=np.log(exposure))
+
+
+class TestOffset:
+    def test_the_rows_offset_reaches_the_count_model(self):
+        ds = exposure_dataset()
+        rows = np.arange(0, ds.n_rows, 2)
+        pipe = fit_pipeline_on_rows(plain_spec(model="poisson_glm"), ds, rows)
+        direct = PoissonGLM().fit(ds.X[rows], ds.y[rows], offset=ds.offset[rows])
+        assert pipe.model.coef_ == pytest.approx(direct.coef_, rel=1e-12)
+        served = pipe.predict_bundle(ds.X, offset=ds.offset).values
+        assert served == pytest.approx(direct.predict(ds.X, offset=ds.offset), rel=1e-12)
+        assert not np.allclose(served, pipe.predict_bundle(ds.X).values)
+
+    def test_a_model_without_offset_is_a_configuration_error(self):
+        ds = exposure_dataset()
+        with pytest.raises(ConfigurationError, match="offset is only supported"):
+            fit_pipeline_on_rows(plain_spec(model="ridge", model_params={"alpha": 1.0}), ds,
+                                 np.arange(ds.n_rows))
+        plain = Dataset(X=ds.X, y=ds.y, schema=ds.schema, task=REGRESSION)
+        pipe = fit_pipeline_on_rows(plain_spec(model="ridge", model_params={"alpha": 1.0}), plain,
+                                    np.arange(ds.n_rows))
+        with pytest.raises(ConfigurationError, match="offset is only supported"):
+            pipe.predict_bundle(ds.X, offset=ds.offset)
+
+    def test_search_rejects_an_offset_up_front(self):
+        ds = exposure_dataset()
+        with pytest.raises(ConfigurationError, match="offset"):
+            optimize(ds, default_space(REGRESSION, y=ds.y, n_features=2), Budget(600.0, 2),
+                     metric=get_metric("poisson_deviance"))
 
 
 class TestOptimize:

@@ -275,6 +275,15 @@ class TestBoosting:
                 seed=0,
             )
 
+    def test_count_objective_rejected_up_front(self, monkeypatch):
+        ds = make_regression_dataset(n=40, w=2, seed=3)
+        counts = ds.with_response(np.round(np.abs(ds.y)))
+        monkeypatch.setattr("tabcash.ensemble.optimize", pytest.fail)
+        with pytest.raises(ConfigurationError, match="'poisson_deviance'"):
+            build_boosting(counts, default_space(REGRESSION, y=counts.y, n_features=2),
+                           Budget(600.0, 4), get_sampler("random"),
+                           get_metric("poisson_deviance"), n_members=2)
+
     def test_h1_matches_plain_optimize(self):
         from tabcash.ensemble import _derived_seed
 

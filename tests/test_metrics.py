@@ -224,6 +224,11 @@ class TestBundle:
         with pytest.raises(ContractError):
             PredictionBundle(values=np.array([0]), probabilities=np.array([[1.5, -0.5]]))
 
+    @pytest.mark.parametrize("table", [[[np.nan, np.nan]], [[np.nan, 1.0]], [[0.5, 0.5], [np.nan, 0.5]]])
+    def test_nan_probabilities_fail(self, table):
+        with pytest.raises(ContractError):
+            PredictionBundle(values=np.zeros(len(table), dtype=int), probabilities=np.array(table))
+
     def test_auc_needs_probabilities(self):
         m = get_metric("auc")
         with pytest.raises(UndefinedMetricError):

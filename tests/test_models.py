@@ -190,6 +190,18 @@ class TestPoissonGLM:
             m.predict(X[:5], offset=offset)
         assert m.predict(X[:5], offset=np.zeros(5)).shape == (5,)
 
+    def test_one_hot_block_beside_the_intercept_fits(self):
+        """A complete column's one-hot block sums to the intercept column, so the
+        IRLS system is singular; the fit takes the minimum-norm solution and
+        predicts as the model without the redundant column does."""
+        rng = np.random.default_rng(1)  # np.linalg.solve raises on this table
+        levels = rng.integers(0, 3, 60)
+        X = np.hstack([rng.normal(size=(60, 1)), np.eye(3)[levels]])
+        y = rng.poisson(np.exp(0.3 * X[:, 0] + 0.2 * levels)).astype(float)
+        full = PoissonGLM().fit(X, y).predict(X)
+        reduced = PoissonGLM().fit(X[:, :-1], y).predict(X[:, :-1])
+        assert full == pytest.approx(reduced, rel=1e-9)
+
 
 class TestKnn:
     def test_k1_reproduces_training_labels(self):

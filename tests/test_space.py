@@ -14,7 +14,7 @@ from tabcash.space import (
     sample_random,
     validate_spec,
 )
-from tabcash.tabular import BINARY, REGRESSION
+from tabcash.tabular import BINARY, NUMERIC, REGRESSION, ColumnSchema, Dataset
 
 
 class FakeTrial:
@@ -78,6 +78,14 @@ class TestDefaultSpace:
         reals = default_space(REGRESSION, y=np.array([0.5, 3.0, 1.0]))
         assert "poisson_glm" in counts.methods["model"]
         assert "poisson_glm" not in reals.methods["model"]
+
+    def test_unknown_task_rejected(self):
+        # A table passed for its task would otherwise get the classification menu.
+        table = Dataset(X=np.zeros((3, 1)), y=np.array([0.5, 1.5, 2.0]),
+                        schema=(ColumnSchema("a", NUMERIC),), task=REGRESSION)
+        for task in (table, "classification", None):
+            with pytest.raises(ConfigurationError, match="unknown task"):
+                default_space(task, y=table.y)
 
     def test_empty_menu_rejected(self):
         space = default_space(BINARY)

@@ -141,7 +141,10 @@ class TestLoadCsv:
     @pytest.mark.parametrize("text, response, message", [
         ("a,y\n1,0\n\n2\n", "y", "row 4 has 1 cells, expected 2"),
         ("a,y\n\n\n1,0\n2,\n", "y", "missing value at row 5"),
-    ], ids=["ragged", "missing-response"])
+        ('a,y\n"two\nlines",1\n1\n', "y", "row 4 has 1 cells, expected 2"),
+        ('a,y\n"two\r\nlines",1\n\n3,\n', "y", "missing value at row 5"),
+    ], ids=["ragged", "missing-response", "ragged-after-quoted-newline",
+            "missing-response-after-quoted-newline"])
     def test_errors_name_the_file_line_past_blank_lines(self, tmp_path, text, response, message):
         with pytest.raises((SchemaError, DataError), match=message):
             load_csv(_write(tmp_path, text), response)
@@ -153,6 +156,48 @@ class TestLoadCsv:
         forced = load_csv(path, "y", column_kinds={"a": NUMERIC})
         assert forced.schema[0].missing_count == 1
         assert forced.X[:, 0].tolist()[::2] == [1.0, 2.0] and math.isnan(forced.X[1, 0])
+
+
+class TestOffsetColumn:
+    TEXT = "a,exposure,y\n1.5,0.5,2\n2.5,2.0,0\n0.5,1.25,1\n"
+
+    def test_offset_is_the_log_exposure_and_leaves_x(self, tmp_path):
+        ds = load_csv(_write(tmp_path, self.TEXT), "y", offset_column="exposure")
+        assert ds.feature_names == ("a",) and ds.X[:, 0].tolist() == [1.5, 2.5, 0.5]
+        assert ds.offset.tolist() == np.log([0.5, 2.0, 1.25]).tolist()
+        assert not ds.offset.flags.writeable
+        assert load_csv(_write(tmp_path, self.TEXT), None, offset_column="exposure").offset.shape == (3,)
+        assert load_csv(_write(tmp_path, self.TEXT), "y").offset is None
+
+    def test_row_and_column_views_carry_the_offset(self, tmp_path):
+        text = "a,b,exposure,y\n1,7,0.5,2\n2,8,2.0,0\n3,9,1.25,1\n"
+        ds = load_csv(_write(tmp_path, text), "y", offset_column="exposure")
+        assert ds.take_rows([2, 0]).offset.tolist() == [ds.offset[2], ds.offset[0]]
+        assert ds.select_features([False, True]).offset is ds.offset
+        assert ds.with_response(np.zeros(3)).offset is ds.offset
+        with pytest.raises(SchemaError, match="offset length"):
+            Dataset(X=ds.X, y=ds.y, schema=ds.schema, offset=ds.offset[:2])
+
+    @pytest.mark.parametrize("text, shown", [
+        ("a,exposure,y\n1,0.5,2\n2,0,1\n", "'0' at row 3"),
+        ("a,exposure,y\n1,0.5,2\n2,,1\n", "'' at row 3"),
+        ("a,exposure,y\n1,-1,2\n2,1,1\n", "'-1' at row 2"),
+        ('a,exposure,y\n"x\ny",0.5,2\n2,inf,1\n', "'inf' at row 4"),
+        ("a,exposure,y\n1,0.5,2\n\n2,abc,1\n", "'abc' at row 4"),
+    ], ids=["zero", "blank", "negative", "infinite-after-quoted-newline", "text-after-blank-line"])
+    def test_exposure_must_be_positive_and_complete(self, tmp_path, text, shown):
+        with pytest.raises(DataError, match="must be positive and complete") as err:
+            load_csv(_write(tmp_path, text), "y", offset_column="exposure")
+        assert "data.csv" in str(err.value) and shown in str(err.value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"offset_column": "absent"},
+        {"offset_column": "y"},
+        {"offset_column": "exposure", "column_kinds": {"exposure": NUMERIC}},
+    ], ids=["absent", "response", "forced-kind"])
+    def test_offset_column_misconfigured(self, tmp_path, kwargs):
+        with pytest.raises(ConfigurationError):
+            load_csv(_write(tmp_path, self.TEXT), "y", **kwargs)
 
 
 def _reference_load(path, response, missing_tokens, kinds):
